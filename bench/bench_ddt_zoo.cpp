@@ -41,13 +41,13 @@ DatatypePtr tri_hindexed(std::int64_t n, std::int64_t ld) {
 
 /// Upper triangle built as a struct of per-column double runs.
 DatatypePtr upper_struct(std::int64_t n, std::int64_t ld) {
-  std::vector<std::int64_t> lens(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> displs(static_cast<std::size_t>(n));
-  std::vector<DatatypePtr> types(static_cast<std::size_t>(n),
-                                 mpi::kDouble());
+  std::vector<std::int64_t> lens;
+  std::vector<std::int64_t> displs;
+  std::vector<DatatypePtr> types;
   for (std::int64_t j = 0; j < n; ++j) {
-    lens[static_cast<std::size_t>(j)] = j + 1;
-    displs[static_cast<std::size_t>(j)] = j * ld * 8;
+    lens.push_back(j + 1);
+    displs.push_back(j * ld * 8);
+    types.push_back(mpi::kDouble());
   }
   return Datatype::struct_type(lens, displs, types);
 }

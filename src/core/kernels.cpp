@@ -93,24 +93,28 @@ Side classify(const sg::HostContext& ctx, const sg::Stream& stream,
 
 /// Accumulates the timing profile of a gather/scatter kernel.
 struct Traffic {
+  const sg::HostContext* ctx;
+  const sg::Stream* stream;
+  const std::byte* src_base;
+  const std::byte* dst_base;
   const sg::CostModel* cm;
-  Side src_side;
-  Side dst_side;
+  bool classified = false;
+  Side src_side = Side::kLocalDevice;
+  Side dst_side = Side::kLocalDevice;
   sg::KernelProfile prof;
 
   Traffic(const sg::HostContext& ctx, const sg::Stream& stream,
           const void* src_base, const void* dst_base, int blocks)
-      : cm(&ctx.cost()),
-        src_side(classify(ctx, stream, src_base)),
-        dst_side(classify(ctx, stream, dst_base)) {
+      : ctx(&ctx),
+        stream(&stream),
+        src_base(static_cast<const std::byte*>(src_base)),
+        dst_base(static_cast<const std::byte*>(dst_base)),
+        cm(&ctx.cost()) {
     prof.blocks = blocks;
-    if (src_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kFromHost;
-    if (dst_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kToHost;
-    if (src_side == Side::kPeerDevice || dst_side == Side::kPeerDevice)
-      prof.pcie_dir = sg::PcieDir::kPeer;
   }
 
   void add(std::int64_t src_off, std::int64_t dst_off, std::int64_t len) {
+    if (!classified) classify_sides(src_off, dst_off);
     add_side(src_side, src_off, len);
     add_side(dst_side, dst_off, len);
     prof.warp_rounds += (len + 255) / 256;
@@ -126,6 +130,19 @@ struct Traffic {
   }
 
  private:
+  // Each side is classified by the first byte the kernel touches there,
+  // not by its base: a layout's base lies below its first typed byte
+  // (true_lb > 0) and may fall outside the allocation.
+  void classify_sides(std::int64_t src_off, std::int64_t dst_off) {
+    classified = true;
+    src_side = classify(*ctx, *stream, src_base + src_off);
+    dst_side = classify(*ctx, *stream, dst_base + dst_off);
+    if (src_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kFromHost;
+    if (dst_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kToHost;
+    if (src_side == Side::kPeerDevice || dst_side == Side::kPeerDevice)
+      prof.pcie_dir = sg::PcieDir::kPeer;
+  }
+
   void add_side(Side side, std::int64_t off, std::int64_t len) {
     switch (side) {
       case Side::kLocalDevice:

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -211,6 +212,12 @@ class Datatype : public std::enable_shared_from_this<Datatype> {
   /// Bounds of the data actually touched (ignoring resized padding).
   std::int64_t true_lb() const { return true_lb_; }
   std::int64_t true_extent() const { return true_ub_ - true_lb_; }
+  /// First byte the layout touches in a buffer at `buf`. Buffers are
+  /// classified (device or host, and which device) by this byte, never by
+  /// `buf`: with true_lb() > 0, `buf` may lie outside the allocation.
+  const std::byte* first_typed_byte(const void* buf) const {
+    return static_cast<const std::byte*>(buf) + true_lb_;
+  }
 
   /// True when one element is a single dense block starting at offset 0
   /// whose length equals the extent.

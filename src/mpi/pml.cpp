@@ -177,7 +177,7 @@ Request Pml::isend(const void* buf, std::int64_t count, const DatatypePtr& dt,
   req->dt = dt;
   req->count = count;
   req->total_bytes = dt->size() * count;
-  req->space = proc_.runtime().machine().query(buf);
+  req->space = proc_.runtime().machine().query(dt->first_typed_byte(buf));
   req->user = std::make_shared<RequestState>();
   Request user = req->user;
   SendRequest& r = *req;
@@ -281,7 +281,7 @@ Request Pml::irecv(void* buf, std::int64_t count, const DatatypePtr& dt,
   req->dt = dt;
   req->count = count;
   req->total_bytes = dt->size() * count;
-  req->space = proc_.runtime().machine().query(buf);
+  req->space = proc_.runtime().machine().query(dt->first_typed_byte(buf));
   req->user = std::make_shared<RequestState>();
   Request user = req->user;
   RecvRequest& r = *req;

@@ -65,7 +65,7 @@ struct RtsHeader {
   std::int32_t src_node = -1;
   sg::IpcMemHandle handle;      // staging buffer, or the source if contiguous
   /// For a contiguous source exposed via `handle`: byte offset of packed
-  /// byte 0 from the handle's base (the datatype's leading displacement).
+  /// byte 0 from the handle's base (the allocation holding that byte).
   std::int64_t src_disp = 0;
   std::int64_t frag_bytes = 0;  // sender's pipeline geometry
   std::int32_t depth = 0;

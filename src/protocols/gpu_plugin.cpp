@@ -68,6 +68,22 @@ core::EngineConfig engine_config(const mpi::RuntimeConfig& cfg,
   return e;
 }
 
+/// Expose a contiguous device layout over IPC. The handle names the
+/// allocation holding the layout's first typed byte and the returned
+/// displacement locates that byte in it: `buf` itself may lie below the
+/// allocation (true_lb > 0), so it is never what gets exposed.
+std::int64_t expose_contiguous(mpi::Process& p, const void* buf,
+                               const mpi::DatatypePtr& dt,
+                               sg::IpcMemHandle* handle) {
+  auto* first = const_cast<std::byte*>(dt->first_typed_byte(buf));
+  sg::Machine& m = p.runtime().machine();
+  std::byte* base =
+      m.device(m.query(first).device).arena().allocation_span(first).first;
+  if (base == nullptr) base = first;
+  *handle = sg::IpcGetMemHandle(p.gpu(), base);
+  return first - base;
+}
+
 }  // namespace
 
 // --- Per-request protocol state ----------------------------------------------
@@ -174,7 +190,7 @@ std::int64_t GpuDatatypePlugin::pack(mpi::Process& p, const void* inbuf,
   const bool track = rec != nullptr && rec->flowstats().enabled();
   const std::uint64_t id = track ? p.pml().allocate_id() : 0;
   const vt::Time begin = p.clock().now();
-  if (p.runtime().machine().is_device_ptr(inbuf)) {
+  if (p.runtime().machine().is_device_ptr(dt->first_typed_byte(inbuf))) {
     core::GpuDatatypeEngine& eng = engine(p);
     auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, dt, count,
                         const_cast<void*>(inbuf));
@@ -217,7 +233,7 @@ std::int64_t GpuDatatypePlugin::unpack(mpi::Process& p,
   const bool track = rec != nullptr && rec->flowstats().enabled();
   const std::uint64_t id = track ? p.pml().allocate_id() : 0;
   const vt::Time begin = p.clock().now();
-  if (p.runtime().machine().is_device_ptr(outbuf)) {
+  if (p.runtime().machine().is_device_ptr(dt->first_typed_byte(outbuf))) {
     core::GpuDatatypeEngine& eng = engine(p);
     auto op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, dt, count,
                         outbuf);
@@ -305,9 +321,7 @@ void GpuDatatypePlugin::send_start(mpi::Process& p, mpi::SendRequest& req) {
       // Shortcut: expose the source buffer itself; the receiver drives
       // the whole transfer and fins us.
       rts.has_handle = 1;
-      rts.handle =
-          sg::IpcGetMemHandle(p.gpu(), const_cast<void*>(req.buf));
-      rts.src_disp = req.dt->true_lb();
+      rts.src_disp = expose_contiguous(p, req.buf, req.dt, &rts.handle);
     } else {
       st->staging = static_cast<std::byte*>(
           sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
@@ -744,8 +758,7 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
     cts.recv_id = req.id;
     cts.mode = TransferMode::kRdmaPackToRemote;
     cts.has_handle = 1;
-    cts.handle = sg::IpcGetMemHandle(p.gpu(), req.buf);
-    cts.remote_disp = req.dt->true_lb();
+    cts.remote_disp = expose_contiguous(p, req.buf, req.dt, &cts.handle);
     cts.frag_bytes = rts.frag_bytes;
     req.plugin = std::move(st);
     PerRank& pr = per_rank(p);

@@ -109,7 +109,7 @@ vt::Time Window::pack_to(const void* buf, std::int64_t count,
                          vt::Time dep, std::uint64_t flow_id) {
   mpi::Process& p = comm_.process();
   const std::int64_t total = dt->size() * count;
-  if (p.runtime().machine().is_device_ptr(buf)) {
+  if (p.runtime().machine().is_device_ptr(dt->first_typed_byte(buf))) {
     auto op = engine_->start(Dir::kPack, dt, count, const_cast<void*>(buf));
     // Fragment flow ids (docs/tracing.md): both halves of one one-sided
     // op stamp the op-level request id its caller drew from the PML's
@@ -139,7 +139,7 @@ vt::Time Window::unpack_from(const std::byte* in, void* buf,
                              vt::Time dep, std::uint64_t flow_id) {
   mpi::Process& p = comm_.process();
   const std::int64_t total = dt->size() * count;
-  if (p.runtime().machine().is_device_ptr(buf)) {
+  if (p.runtime().machine().is_device_ptr(dt->first_typed_byte(buf))) {
     auto op = engine_->start(Dir::kUnpack, dt, count, buf);
     std::int64_t frag = 0;
     vt::Time last = dep;
@@ -177,8 +177,10 @@ void Window::put(const void* origin, std::int64_t origin_count,
   // Stage through a contiguous buffer on the origin's device (or host if
   // neither side is device-resident): pack, then scatter into the target
   // layout - both halves driven by the origin.
-  const bool any_device = p.runtime().machine().is_device_ptr(origin) ||
-                          p.runtime().machine().is_device_ptr(tptr);
+  const sg::Machine& m = p.runtime().machine();
+  const bool any_device =
+      m.is_device_ptr(origin_dt->first_typed_byte(origin)) ||
+      m.is_device_ptr(target_dt->first_typed_byte(tptr));
   std::byte* staging;
   std::vector<std::byte> host_staging;
   if (any_device) {
@@ -216,8 +218,10 @@ void Window::get(void* origin, std::int64_t origin_count,
           (target_count - 1) * target_dt->extent());
   mpi::Process& p = comm_.process();
   const vt::Time t_begin = p.clock().now();
-  const bool any_device = p.runtime().machine().is_device_ptr(origin) ||
-                          p.runtime().machine().is_device_ptr(tptr);
+  const sg::Machine& m = p.runtime().machine();
+  const bool any_device =
+      m.is_device_ptr(origin_dt->first_typed_byte(origin)) ||
+      m.is_device_ptr(target_dt->first_typed_byte(tptr));
   std::byte* staging;
   std::vector<std::byte> host_staging;
   if (any_device) {

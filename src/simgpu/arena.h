@@ -1,16 +1,22 @@
 // A simple thread-safe first-fit arena allocator.
 //
-// Each simulated device owns one arena backed by a single host allocation;
-// "device pointers" are real host pointers into that block, which lets the
-// simulated kernels and copy engines move bytes with plain memcpy while the
-// pointer registry still distinguishes address spaces.
+// Each simulated device owns one arena backed by a single anonymous host
+// mapping; "device pointers" are real host pointers into that block, which
+// lets the simulated kernels and copy engines move bytes with plain memcpy
+// while the pointer registry still distinguishes address spaces.
+//
+// The mapping is committed lazily by the kernel: the arena never touches
+// its memory, so a fresh device costs only the pages its buffers use. A
+// large block is advised for transparent huge pages (docs/architecture.md).
 #pragma once
+
+#include <sys/mman.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -21,17 +27,20 @@ class Arena {
   /// Allocation alignment; 512 mirrors cudaMalloc's large alignment and
   /// keeps every fresh device buffer transaction-aligned.
   static constexpr std::size_t kAlign = 512;
+  /// Transparent huge page size the allocator advises in.
+  static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-  explicit Arena(std::size_t capacity)
-      : capacity_(round_up(capacity)),
-        // Default-initialized (not zeroed): device memory is large and a
-        // fresh cudaMalloc'd buffer has unspecified contents anyway.
-        storage_(std::make_unique_for_overwrite<std::byte[]>(capacity_ +
-                                                             kAlign)) {
-    const auto raw = reinterpret_cast<std::uintptr_t>(storage_.get());
-    base_ = storage_.get() + (kAlign - raw % kAlign) % kAlign;
+  explicit Arena(std::size_t capacity) : capacity_(round_up(capacity)) {
+    // Not zeroed on purpose: a fresh cudaMalloc'd buffer has unspecified
+    // contents anyway. mmap's page alignment covers kAlign.
+    void* m = mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<std::byte*>(m);
     free_[base()] = capacity_;
   }
+
+  ~Arena() { munmap(base_, capacity_); }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -55,6 +64,7 @@ class Arena {
         if (remaining > 0) free_[p + need] = remaining;
         allocated_[p] = need;
         in_use_ += need;
+        advise_huge(p, need);
         return p;
       }
     }
@@ -119,12 +129,24 @@ class Arena {
     return (n + kAlign - 1) / kAlign * kAlign;
   }
 
+  /// Ask for huge pages on exactly the whole 2 MiB pages inside [p, p+n).
+  /// Partial pages at either end keep 4 KiB faults, so a small buffer or a
+  /// staging ring never drags a neighbour's untouched bytes into memory.
+  /// Best effort: where THP is unavailable madvise fails and nothing changes.
+  static void advise_huge(std::byte* p, std::size_t n) {
+    const auto lo = (reinterpret_cast<std::uintptr_t>(p) + kHugePage - 1) /
+                    kHugePage * kHugePage;
+    const auto hi =
+        (reinterpret_cast<std::uintptr_t>(p) + n) / kHugePage * kHugePage;
+    if (hi > lo)
+      madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
+  }
+
   std::size_t capacity_;
-  std::unique_ptr<std::byte[]> storage_;
   std::byte* base_ = nullptr;
   mutable std::mutex mu_;
-  // Interval maps over this arena's own buffer: relative key order equals
-  // offset order within storage_, and the order is never emitted.
+  // Interval maps over this arena's own mapping: relative key order equals
+  // offset order within it, and the order is never emitted.
   // det-lint: allow(pointer_order) - arena-internal interval map
   std::map<std::byte*, std::size_t> free_;       // start -> size
   // det-lint: allow(pointer_order) - arena-internal interval map

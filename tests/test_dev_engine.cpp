@@ -383,6 +383,32 @@ TEST_F(KernelTest, DevUnpackInvertsPack) {
             test::reference_pack(dt, 1, back));
 }
 
+TEST(KernelCost, SidesClassifiedByFirstTouchedByte) {
+  // 32 blocks of 4 KiB, 8 KiB apart, starting 64 KiB above the layout's
+  // base. With the typed bytes placed at the start of device 0's arena the
+  // base lies below the arena; the kernels must still cost exactly like
+  // the same gather/scatter with the base inside the allocation.
+  const mpi::RegularPattern pat{64 << 10, 4 << 10, 8 << 10, 32};
+  const std::int64_t span = 31 * (8 << 10) + (4 << 10);
+  const std::int64_t bytes = 32 * (4 << 10);
+  auto duration = [&](bool base_below_arena) {
+    sg::Machine m(test::machine_config(2));
+    sg::HostContext ctx(m, 0);
+    sg::Stream stream(&m.device(0));
+    const std::int64_t lead = base_below_arena ? 0 : pat.first_disp;
+    auto* alloc = static_cast<std::byte*>(sg::Malloc(ctx, lead + span));
+    EXPECT_EQ(alloc, m.device(0).arena().base());
+    auto* packed = static_cast<std::byte*>(sg::Malloc(ctx, bytes));
+    std::byte* base = alloc + lead - pat.first_disp;
+    const vt::Time t0 = ctx.clock.now();
+    pack_vector_kernel(ctx, stream, base, pat, 0, bytes, packed, 15);
+    return unpack_vector_kernel(ctx, stream, base, pat, 0, bytes, packed,
+                                15) -
+           t0;
+  };
+  EXPECT_EQ(duration(true), duration(false));
+}
+
 TEST_F(KernelTest, AlignedVectorNearsMemcpyBandwidth) {
   // Large aligned vector: kernel duration within ~15% of a d2d memcpy
   // (the paper's Figure 6 shows ~94% of the copy-engine peak).

@@ -1,6 +1,7 @@
 // End-to-end tests of the GPU datatype protocols (Section 4): pipelined
 // RDMA over IPC, the contiguous-side shortcuts, the copy-in/out protocol,
-// mixed host/device endpoints, and the MVAPICH-style baseline plugin.
+// mixed host/device endpoints, the MVAPICH-style baseline plugin, and
+// buffer classification by the first typed byte.
 // Every transfer is verified bit-exact against the CPU datatype engine.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "harness/harness.h"
 #include "obs/recorder.h"
 #include "protocols/gpu_plugin.h"
+#include "rma/window.h"
 #include "test_helpers.h"
 
 namespace gpuddt::proto {
@@ -409,6 +411,136 @@ TEST(GpuRdmaPut, ContiguousShortcutsUnaffectedByPutMode) {
   run_transfer(cfg, cont, 1, true,
                core::submatrix_type(1 << 10, 1 << 9, 1 << 10), 1, true);
   run_transfer(cfg, tri, 1, true, tri_cont, 1, true);
+}
+
+// --- Classification by the first typed byte -----------------------------------------
+
+std::int64_t counter(const obs::Recorder& rec, const std::string& name) {
+  const auto snap = rec.metrics().counters_snapshot();
+  const auto it = snap.find(name);
+  return it == snap.end() ? 0 : it->second;
+}
+
+/// GPU datatype-engine operations started so far, over all ranks.
+std::int64_t engine_ops(const obs::Recorder& rec) {
+  return counter(rec, "engine.ops.vector") + counter(rec, "engine.ops.dev") +
+         counter(rec, "engine.ops.dev_cached");
+}
+
+/// What a correct delivery leaves in `init`: cpu_pack of the sent layout,
+/// then cpu_unpack into the receive layout.
+std::vector<std::byte> cpu_delivery(const DatatypePtr& send_dt,
+                                    const void* send_buf,
+                                    const DatatypePtr& recv_dt,
+                                    std::vector<std::byte> init) {
+  const auto packed = test::reference_pack(send_dt, 1, send_buf);
+  mpi::cpu_unpack(recv_dt, 1, packed, init.data() - recv_dt->true_lb());
+  return init;
+}
+
+TEST(FirstTypedByte, BufferBelowTheArenaTakesItsDevicesGpuPath) {
+  // 32 blocks of 4 KiB, 8 KiB apart, starting 64 KiB above the buffer
+  // argument. Each rank's first allocation holds exactly the typed bytes,
+  // so `buf` lies below that device's arena and only buf + true_lb() is
+  // device memory: whatever sits below (another device's arena, a host
+  // mapping, nothing) must not decide the path.
+  std::vector<std::int64_t> lens(32, 512), displs;
+  for (std::int64_t i = 0; i < 32; ++i)
+    displs.push_back((64 << 10) + i * (8 << 10));
+  const DatatypePtr dt = mpi::Datatype::hindexed(lens, displs, mpi::kDouble());
+  // Same signature, one dense block at the same 64 KiB offset.
+  const std::int64_t elems = dt->size() / 8;
+  const std::int64_t lb = 64 << 10;
+  const DatatypePtr flat = mpi::Datatype::hindexed(
+      std::span<const std::int64_t>(&elems, 1),
+      std::span<const std::int64_t>(&lb, 1), mpi::kDouble());
+  ASSERT_EQ(dt->true_lb(), 64 << 10);
+  ASSERT_TRUE(flat->is_contiguous(1));
+  const auto span = static_cast<std::size_t>(dt->true_extent());
+  const auto size = static_cast<std::size_t>(dt->size());
+
+  obs::Recorder rec;
+  RuntimeConfig cfg = gpu_world();
+  cfg.recorder = &rec;
+  Runtime rt(cfg);
+  auto plugin = std::make_shared<GpuDatatypePlugin>();
+  rt.set_gpu_plugin(plugin);
+  rt.run([&](Process& p) {
+    Comm comm(p);
+    auto* first = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
+    ASSERT_EQ(first,
+              p.runtime().machine().device(p.gpu().device).arena().base());
+    std::byte* buf = first - dt->true_lb();
+    std::vector<std::byte> sent(span);
+    test::fill_pattern(sent.data(), span, 5);
+    const std::byte* sent_buf = sent.data() - dt->true_lb();
+    std::vector<std::byte> zero(span);
+    std::vector<std::byte> window(size);
+    if (p.rank() == 0) {
+      std::memcpy(first, sent.data(), span);
+      comm.send(buf, 1, dt, 1, 1);  // pipelined RDMA
+      comm.send(buf, 1, dt, 1, 2);  // into the receiver's exposed layout
+    } else {
+      std::memset(first, 0, span);
+      comm.recv(buf, 1, dt, 0, 1);
+      EXPECT_EQ(std::vector<std::byte>(first, first + span),
+                cpu_delivery(dt, sent_buf, dt, zero));
+      std::memset(first, 0, span);
+      comm.recv(buf, 1, flat, 0, 2);
+      EXPECT_EQ(std::vector<std::byte>(first, first + span),
+                cpu_delivery(dt, sent_buf, flat, zero));
+      EXPECT_EQ(plugin->stats(p).rdma_pipelined, 1);
+      EXPECT_EQ(plugin->stats(p).rdma_pack_remote, 1);
+      EXPECT_EQ(plugin->stats(p).host_staged, 0);
+
+      // Explicit pack/unpack run on this rank's engine (device 1).
+      std::memcpy(first, sent.data(), span);
+      const core::EngineStats before = plugin->engine(p).stats();
+      std::vector<std::byte> wire(size);
+      std::int64_t pos = 0;
+      plugin->pack(p, buf, 1, dt, wire, &pos);
+      EXPECT_EQ(wire, test::reference_pack(dt, 1, sent_buf));
+      std::memset(first, 0, span);
+      pos = 0;
+      plugin->unpack(p, wire, &pos, buf, 1, dt);
+      EXPECT_EQ(std::vector<std::byte>(first, first + span),
+                cpu_delivery(dt, sent_buf, dt, zero));
+      const core::EngineStats& after = plugin->engine(p).stats();
+      EXPECT_EQ(after.bytes_packed - before.bytes_packed, dt->size());
+      EXPECT_EQ(after.bytes_unpacked - before.bytes_unpacked, dt->size());
+    }
+    // RMA put from the same device buffer into a host window on rank 0:
+    // the origin alone makes the put device-staged.
+    rma::Window w(comm, window.data(), static_cast<std::int64_t>(size));
+    w.fence();
+    if (p.rank() == 1) {
+      std::memcpy(first, sent.data(), span);
+      const std::int64_t ops = engine_ops(rec);
+      w.put(buf, 1, dt, 0, 0, dt->size(), mpi::kByte());
+      // The origin is packed by the GPU engine; the host target is not.
+      EXPECT_EQ(engine_ops(rec) - ops, 1);
+    }
+    w.fence();
+    if (p.rank() == 0) {
+      EXPECT_EQ(window, test::reference_pack(dt, 1, sent_buf));
+    }
+    // And a get back into it: the GPU engine unpacks into the origin.
+    if (p.rank() == 1) {
+      std::memset(first, 0, span);
+      const std::int64_t ops = engine_ops(rec);
+      w.get(buf, 1, dt, 0, 0, dt->size(), mpi::kByte());
+      EXPECT_EQ(engine_ops(rec) - ops, 1);
+      EXPECT_EQ(std::vector<std::byte>(first, first + span),
+                cpu_delivery(dt, sent_buf, dt, zero));
+    }
+    w.fence();
+    sg::Free(p.gpu(), first);
+  });
+  EXPECT_EQ(counter(rec, "gpu.mode.ipc_rdma"), 1);
+  EXPECT_EQ(counter(rec, "gpu.mode.rdma_pack_remote"), 1);
+  EXPECT_EQ(counter(rec, "gpu.mode.host_frags"), 0);
+  EXPECT_EQ(counter(rec, "rma.bytes.staged_device"), 2 * dt->size());
+  EXPECT_EQ(counter(rec, "rma.bytes.staged_host"), 0);
 }
 
 }  // namespace

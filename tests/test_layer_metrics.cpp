@@ -198,7 +198,9 @@ TEST(LayerMetrics, ReduceOpFlopsPinToElementCounts) {
     std::vector<double> buf(kCount, 1.0), out(kCount, 0.0);
     coll.reduce(buf.data(), out.data(), kCount, mpi::kDouble(),
                 mpi::ReduceOp::kSum, 0);
-    if (p.rank() == 0) EXPECT_EQ(out[kCount - 1], double(kWorld));
+    if (p.rank() == 0) {
+      EXPECT_EQ(out[kCount - 1], double(kWorld));
+    }
   });
   EXPECT_EQ(counter(rec, "coll.reduce.op_flops"), (kWorld - 1) * kCount);
 }

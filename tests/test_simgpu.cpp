@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "simgpu/arena.h"
@@ -62,6 +65,81 @@ TEST(Arena, AllocationSizeTracksRoundedSize) {
   std::byte* p = a.allocate(100);
   EXPECT_GE(a.allocation_size(p), 100u);
   EXPECT_EQ(a.allocation_size(p + 1), 0u);  // interior pointer
+}
+
+/// True when the kernel offers transparent huge pages to madvise callers.
+bool thp_available() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  return std::getline(f, mode) && mode.find("[never]") == std::string::npos;
+}
+
+/// Whether the mapping holding `p` carries the MADV_HUGEPAGE flag ("hg" in
+/// its /proc/self/smaps VmFlags line).
+bool huge_page_advised(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = addr >= lo && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return (line + " ").find(" hg ") != std::string::npos;
+    }
+  }
+  return false;
+}
+
+TEST(Arena, AdvisesHugePagesOnWholeInteriorPagesOnly) {
+  if (!thp_available()) GTEST_SKIP() << "transparent huge pages unavailable";
+  Arena a(64 << 20);
+  std::byte* small = a.allocate(640 << 10);  // the arena head
+  std::byte* big = a.allocate(4 << 20);
+  const auto hp = static_cast<std::uintptr_t>(Arena::kHugePage);
+  const auto lo = (reinterpret_cast<std::uintptr_t>(big) + hp - 1) / hp * hp;
+  const auto hi = (reinterpret_cast<std::uintptr_t>(big) + (4 << 20)) / hp * hp;
+  ASSERT_GT(hi, lo);  // 4 MiB always holds at least one whole 2 MiB page
+  for (auto p = lo; p < hi; p += hp) {
+    EXPECT_TRUE(huge_page_advised(reinterpret_cast<void*>(p)));
+    EXPECT_TRUE(huge_page_advised(reinterpret_cast<void*>(p + hp - 1)));
+  }
+  // Partial pages at either end of the block stay on 4 KiB faults.
+  EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(lo - 1)));
+  EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(hi)));
+  EXPECT_FALSE(huge_page_advised(a.base()));
+  EXPECT_FALSE(huge_page_advised(small + (640 << 10) - 1));
+  std::byte* small2 = a.allocate(640 << 10);
+  EXPECT_FALSE(huge_page_advised(small2));
+  EXPECT_FALSE(huge_page_advised(small2 + (640 << 10) - 1));
+}
+
+TEST(Arena, AllocationSpanResolvesInteriorPointers) {
+  Arena a(8 << 20);
+  std::byte* p = a.allocate(100);
+  std::byte* q = a.allocate(3 << 20);
+  const auto span = a.allocation_span(q + 12345);
+  EXPECT_EQ(span.first, q);
+  EXPECT_EQ(span.second, std::size_t{3} << 20);
+  EXPECT_EQ(a.allocation_span(p + 99).first, p);
+  a.deallocate(q);
+  EXPECT_EQ(a.allocation_span(q + 12345).first, nullptr);
+  EXPECT_EQ(a.allocation_span(a.base() + (7 << 20)).first, nullptr);
+}
+
+TEST(Arena, FreedLargeBlockCoalescesAndIsReused) {
+  Arena a(16 << 20);
+  std::byte* p1 = a.allocate(4 << 20);
+  std::byte* p2 = a.allocate(4 << 20);
+  std::byte* p3 = a.allocate(4 << 20);
+  a.deallocate(p1);
+  a.deallocate(p2);
+  // First fit: the coalesced 8 MiB hole at the head serves the next
+  // request before the tail does.
+  EXPECT_EQ(a.allocate(6 << 20), p1);
+  EXPECT_TRUE(a.contains(p3 + (4 << 20) - 1));
+  EXPECT_FALSE(a.contains(a.base() + (16 << 20)));
 }
 
 // --- Machine / registry ----------------------------------------------------------

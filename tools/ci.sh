@@ -21,8 +21,8 @@ run() {
   "$@"
 }
 
-# 1. Default configuration.
-run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# 1. Default configuration, with compiler warnings as errors.
+run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGPUDDT_WERROR=ON
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
 
