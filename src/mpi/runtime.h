@@ -1,15 +1,17 @@
 // The mini-MPI runtime.
 //
 // Mirrors the Open MPI architecture the paper integrates into:
-//   * Runtime  - launches one thread per rank on a shared simulated
-//                Machine, owns the BTL instances and the Active-Message
-//                handler table (the paper's Section 4 plumbing).
+//   * Runtime  - runs every rank on a shared simulated Machine, owns the
+//                BTL instances and the Active-Message handler table (the
+//                paper's Section 4 plumbing).
 //   * Process  - the per-rank context: virtual clock, GPU HostContext,
 //                inbox of Active Messages, PML instance.
 //
-// Ranks are threads of this process; a rank-to-node map decides whether a
-// pair of ranks communicates over the shared-memory BTL or the simulated
-// InfiniBand BTL.
+// By default every rank is a resumable continuation dispatched by one
+// event loop on the calling thread (SchedBackend::kEvent); the legacy
+// thread backend gives each rank an OS thread instead. A rank-to-node map
+// decides whether a pair of ranks communicates over the shared-memory BTL
+// or the simulated InfiniBand BTL.
 #pragma once
 
 #include <condition_variable>

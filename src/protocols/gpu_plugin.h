@@ -3,6 +3,10 @@
 // GpuDatatypePlugin is the integration of the GPU datatype engine with the
 // PML/BTL stack. It implements:
 //
+//  * GPU eager tier: a device send of at most `gpu_eager_limit` bytes is
+//    packed into a zero-copy host buffer and shipped as one eager AM, with
+//    no handshake; the receiver unpacks straight from the arrived bytes.
+//
 //  * Pipelined RDMA protocol (Section 4.1, TransferMode::kIpcRdma):
 //    one-time RDMA connection (IPC memory-handle exchange with a
 //    registration cache), BTL-level Active Messages, a receiver-driven GET
@@ -14,6 +18,12 @@
 //    contiguous receiver exposes its destination and the sender packs
 //    straight into remote memory (kRdmaPackToRemote).
 //
+//  * Stream-triggered chains (TransferMode::kStreamTriggered): the same
+//    pipeline with the per-fragment recurrence enqueued at rendezvous time
+//    as stream/event dependencies instead of FragReady/FragFree AMs, so no
+//    host wakes per fragment. Opt-in (mpi/stream_triggered.h); GET mode
+//    only.
+//
 //  * Copy-in/copy-out protocol (Section 4.2, TransferMode::kHostFrags):
 //    when IPC / GPUDirect is unavailable (different nodes, or disabled),
 //    packed fragments are staged through host memory - by default through
@@ -22,7 +32,11 @@
 //    as ordinary PML fragments, interoperating with host-side peers.
 //
 // The receiver picks the mode in its CTS, exactly like the paper's GET
-// handshake.
+// handshake. Every mode is a short driver over shared fragment steps - a
+// sender step (pack into a ring slot once its credit returned) and a
+// receiver step (optionally GET into a local slot, then unpack) - run
+// either by AM handlers (host-driven) or by one forward pass
+// (stream-triggered); docs/protocols.md, "Fragment steps".
 #pragma once
 
 #include <cstdint>
@@ -40,7 +54,10 @@
 namespace gpuddt::proto {
 
 /// Per-rank transfer statistics: which protocol handled each message, the
-/// payload volume, and registration-cache behaviour. Read from the owning
+/// payload volume, and registration-cache behaviour. The transfer and
+/// byte counters are the receiver's; ipc_opens/ipc_reuses count every
+/// handle this rank opened, which includes the sender's opens of the
+/// receiver's memory (PUT mode, kRdmaPackToRemote). Read from the owning
 /// rank's thread, or after run() returns.
 struct TransferStats {
   std::int64_t rdma_pipelined = 0;     // kIpcRdma transfers completed
@@ -91,7 +108,8 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
                       std::int64_t* position, void* outbuf,
                       std::int64_t count, const mpi::DatatypePtr& dt);
 
-  /// This rank's receiver-side protocol statistics.
+  /// This rank's protocol statistics: receive-side transfer counts plus
+  /// its registration cache, sender-side opens included (TransferStats).
   const TransferStats& stats(mpi::Process& p) { return per_rank(p).stats; }
 
   /// Per-fragment virtual-time intervals of a pipelined receive, captured
@@ -125,6 +143,19 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
 
   PerRank& per_rank(mpi::Process& p);
   void* open_handle(mpi::Process& p, const sg::IpcMemHandle& h);
+
+  /// Shared body of pack() and unpack(): move `count` elements of `dt`
+  /// at `typed` to (kPack) or from (kUnpack) `packed` at *position.
+  std::int64_t copy_packed(mpi::Process& p, core::GpuDatatypeEngine::Dir dir,
+                           void* typed, std::int64_t count,
+                           const mpi::DatatypePtr& dt,
+                           std::span<std::byte> packed,
+                           std::int64_t* position);
+  /// Receive completion shared by every mode: finish the unpack `op` (if
+  /// any), free the staging this rank allocated for `req`, count its
+  /// payload and block until `last`, the final unpack's completion.
+  void finish_recv(mpi::Process& p, mpi::RecvRequest& req,
+                   core::GpuDatatypeEngine::Op* op, vt::Time last);
 
   /// Pack and publish fragments while the staging window has room
   /// (kIpcRdma sender side).

@@ -39,15 +39,18 @@ RuntimeConfig gpu_world() {
 }
 
 /// Run a 0->1 transfer of (send_dt on device?) -> (recv_dt on device?) and
-/// verify the received layout packs identically to the sent one.
-void run_transfer(RuntimeConfig cfg, const DatatypePtr& send_dt,
-                  std::int64_t send_count, bool send_on_device,
-                  const DatatypePtr& recv_dt, std::int64_t recv_count,
-                  bool recv_on_device,
-                  std::shared_ptr<mpi::GpuTransferPlugin> plugin = nullptr) {
+/// verify the received layout packs identically to the sent one. Returns
+/// the receiver's protocol statistics (empty for a non-gpuddt plugin).
+TransferStats run_transfer(
+    RuntimeConfig cfg, const DatatypePtr& send_dt, std::int64_t send_count,
+    bool send_on_device, const DatatypePtr& recv_dt, std::int64_t recv_count,
+    bool recv_on_device,
+    std::shared_ptr<mpi::GpuTransferPlugin> plugin = nullptr) {
+  if (!plugin) plugin = std::make_shared<GpuDatatypePlugin>();
+  const auto gpuddt = std::dynamic_pointer_cast<GpuDatatypePlugin>(plugin);
+  TransferStats recv_stats;
   Runtime rt(cfg);
-  rt.set_gpu_plugin(plugin ? plugin
-                           : std::make_shared<GpuDatatypePlugin>());
+  rt.set_gpu_plugin(plugin);
   rt.run([&](Process& p) {
     Comm comm(p);
     if (p.rank() == 0) {
@@ -89,8 +92,21 @@ void run_transfer(RuntimeConfig cfg, const DatatypePtr& send_dt,
       ASSERT_EQ(got.size(), expect.size());
       EXPECT_EQ(got, expect) << "send=" << send_dt->describe()
                              << " recv=" << recv_dt->describe();
+      if (gpuddt) recv_stats = gpuddt->stats(p);
     }
   });
+  return recv_stats;
+}
+
+/// The same device-to-device transfer driven as a stream-triggered chain
+/// (docs/protocols.md): the bytes must match the reference pack, and the
+/// receiver must count `chains` completed chains (0 where the mode falls
+/// back to the host-driven pipeline).
+void run_stream_triggered(RuntimeConfig cfg, const DatatypePtr& dt,
+                          std::int64_t chains = 1) {
+  cfg.stream_triggered = 1;
+  EXPECT_EQ(run_transfer(cfg, dt, 1, true, dt, 1, true).stream_triggered,
+            chains);
 }
 
 // --- Pipelined RDMA over IPC (Section 4.1) -------------------------------------------
@@ -110,6 +126,7 @@ TEST(GpuRdma, SameGpuBothRanks) {
   cfg.device_of = [](int) { return 0; };
   auto dt = core::lower_triangular_type(200, 200);
   run_transfer(cfg, dt, 1, true, dt, 1, true);
+  run_stream_triggered(cfg, dt);
 }
 
 TEST(GpuRdma, DifferentLayoutsSameSignature) {
@@ -155,6 +172,7 @@ TEST(GpuRdma, NoLocalStagingVariant) {
   cfg.recv_local_staging = false;  // unpack straight from remote memory
   auto dt = core::lower_triangular_type(192, 192);
   run_transfer(cfg, dt, 1, true, dt, 1, true);
+  run_stream_triggered(cfg, dt);
 }
 
 TEST(GpuRdma, SmallFragmentsManyRounds) {
@@ -163,6 +181,7 @@ TEST(GpuRdma, SmallFragmentsManyRounds) {
   cfg.gpu_pipeline_depth = 2;
   auto dt = core::lower_triangular_type(128, 160);
   run_transfer(cfg, dt, 1, true, dt, 1, true);
+  run_stream_triggered(cfg, dt);
 }
 
 TEST(GpuRdma, DepthOnePipelineStillCorrect) {
@@ -170,6 +189,7 @@ TEST(GpuRdma, DepthOnePipelineStillCorrect) {
   cfg.gpu_pipeline_depth = 1;
   auto dt = core::submatrix_type(256, 64, 320);
   run_transfer(cfg, dt, 1, true, dt, 1, true);
+  run_stream_triggered(cfg, dt);
 }
 
 // --- Copy-in/out protocol (Section 4.2) -----------------------------------------------
@@ -371,6 +391,8 @@ TEST(GpuRdmaPut, PutModeRoundTripsTriangular) {
   cfg.rdma_put_mode = true;
   auto dt = core::lower_triangular_type(256, 256);
   run_transfer(cfg, dt, 1, true, dt, 1, true);
+  // PUT mode has no stream-triggered chain: it stays host-driven.
+  run_stream_triggered(cfg, dt, 0);
 }
 
 TEST(GpuRdmaPut, PutModeReshape) {

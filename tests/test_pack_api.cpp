@@ -101,6 +101,25 @@ TEST(PackApi, OverflowThrows) {
     std::int64_t pos = 0;
     EXPECT_THROW(plugin->pack(p, src, 1, dt, tiny, &pos),
                  std::invalid_argument);
+    // A negative position or count must not slip past the bounds check.
+    // The buffer sits inside a larger backing, so a missed check shows up
+    // as a missing throw rather than a wild write.
+    auto pair = mpi::Datatype::contiguous(2, mpi::kDouble());
+    std::vector<std::byte> backing(96);
+    const std::span<std::byte> buf(backing.data() + 32, 32);
+    const std::pair<std::int64_t, std::int64_t> bad[] = {{-16, 1}, {0, -1}};
+    for (const auto& [start, count] : bad) {
+      pos = start;
+      EXPECT_THROW(plugin->pack(p, src, count, pair, buf, &pos),
+                   std::invalid_argument)
+          << "pos=" << start << " count=" << count;
+      EXPECT_EQ(pos, start);
+      pos = start;
+      EXPECT_THROW(plugin->unpack(p, buf, &pos, src, count, pair),
+                   std::invalid_argument)
+          << "pos=" << start << " count=" << count;
+      EXPECT_EQ(pos, start);
+    }
   });
 }
 

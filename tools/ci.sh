@@ -6,8 +6,9 @@
 # its corpus and over every DEV the bench suite caches
 # (docs/verification.md), the simulator scale stage (1024-rank smoke +
 # throughput baseline gate; docs/simulator.md), the flow-latency stage
-# (traffic-mix baseline gates + gpuddt-latency-v1 shape validation +
-# double-run determinism of both reports; docs/latency.md), and the
+# (traffic-mix and pipeline-ablation baseline gates + gpuddt-latency-v1
+# shape validation + double-run determinism of both traffic-mix reports;
+# docs/latency.md), and the
 # blocking lint stage (clang-tidy with warnings-as-errors + the
 # determinism lint + the doc lint). Mirrors the CMakePresets.json
 # configurations.
@@ -136,6 +137,19 @@ run cmp build/ci_traffic_mix_metrics.json \
   build/ci_traffic_mix_metrics2.json
 run cmp build/ci_traffic_mix_latency.json \
   build/ci_traffic_mix_latency2.json
+#    The pipelining ablation pins the per-fragment spans of every
+#    pipeline variant (GET vs PUT, zero-copy, depth) in both drivers,
+#    host-driven and stream-triggered, each from its own latency-only run.
+run build/bench/bench_ablation_pipeline \
+  --latency-out=build/ci_ablation_pipeline_latency.json
+run build/tools/metrics_diff --gate \
+  --baseline bench/baselines/ablation_pipeline_latency.json \
+  build/ci_ablation_pipeline_latency.json
+run build/bench/bench_ablation_pipeline --stream-triggered \
+  --latency-out=build/ci_ablation_pipeline_st_latency.json
+run build/tools/metrics_diff --gate \
+  --baseline bench/baselines/ablation_pipeline_st_latency.json \
+  build/ci_ablation_pipeline_st_latency.json
 
 # 9. Lint: blocking. clang-tidy findings are errors
 #    (--warnings-as-errors=*) and a missing clang-tidy fails the stage

@@ -33,8 +33,18 @@ BASELINES=(
   "traffic_mix|bench_traffic_mix||"
 )
 
+# Flow-latency-only baselines (gpuddt-latency-v1, docs/latency.md), same
+# spec format. Each comes from its own run with only --latency-out, so
+# the metrics baseline of the same binary above stays a separate run.
+# They pin the per-fragment spans of every pipeline variant the ablation
+# sweeps (GET vs PUT, zero-copy, depth), host-driven and stream-triggered.
+LATENCY_BASELINES=(
+  "ablation_pipeline_latency|bench_ablation_pipeline||"
+  "ablation_pipeline_st_latency|bench_ablation_pipeline||--stream-triggered"
+)
+
 binaries=(metrics_diff)
-for spec in "${BASELINES[@]}"; do
+for spec in "${BASELINES[@]}" "${LATENCY_BASELINES[@]}"; do
   IFS='|' read -r _ bin _ _ <<<"$spec"
   binaries+=("$bin")
 done
@@ -65,6 +75,15 @@ for spec in "${BASELINES[@]}"; do
       > "$OUT/${name}_latency.json"
     rm -f "$latency_tmp"
   fi
+done
+for spec in "${LATENCY_BASELINES[@]}"; do
+  IFS='|' read -r name bin filter extra <<<"$spec"
+  args=(--latency-out="$tmp")
+  [ -n "$filter" ] && args+=("--benchmark_filter=$filter")
+  [ -n "$extra" ] && args+=($extra)
+  echo "== $name: $bin ${filter:+(filter $filter)}${extra:+ ($extra)}"
+  "$BUILD/bench/$bin" "${args[@]}" > /dev/null
+  "$BUILD/tools/metrics_diff" --canon "$tmp" > "$OUT/$name.json"
 done
 
 echo "== baselines regenerated into $OUT - review with git diff"
