@@ -32,8 +32,9 @@ PackStats cpu_pack_some(BlockCursor& cursor, const void* src,
 PackStats cpu_unpack_some(BlockCursor& cursor, std::span<const std::byte> in,
                           void* dst);
 
-/// Whole-datatype convenience wrappers. `out` / `in` must hold exactly
-/// dt->size() * count bytes.
+/// Whole-datatype convenience wrappers. `out` / `in` must hold at least
+/// dt->size() * count bytes; a shorter buffer or a negative `count`
+/// throws std::invalid_argument.
 PackStats cpu_pack(const DatatypePtr& dt, std::int64_t count, const void* src,
                    std::span<std::byte> out);
 PackStats cpu_unpack(const DatatypePtr& dt, std::int64_t count,

@@ -1,16 +1,23 @@
 #include "mpi/cursor.h"
 
+#include <stdexcept>
+
 namespace gpuddt::mpi {
 
 BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count,
                          ProgramView view)
     : dt_(std::move(dt)), count_(count) {
-  assert(count >= 0);
+  if (count < 0) throw std::invalid_argument("BlockCursor: negative count");
   prog_ = view == ProgramView::kCanonical ? &dt_->canonical_program()
                                           : &dt_->program();
   total_ = remaining_ = dt_->size() * count_;
   if (count_ == 0 || prog_->empty()) remaining_ = total_ = 0;
   elem_base_ = 0;
+  // Position on the first block, so next() and take() always start on one.
+  if (remaining_ > 0) {
+    ip_ = -1;  // advance_instr pre-increments
+    advance_instr();
+  }
 }
 
 /// Move the instruction pointer past the just-finished instruction,
@@ -67,30 +74,23 @@ void BlockCursor::advance_instr() {
 
 bool BlockCursor::next(std::int64_t max_bytes, Block* out) {
   if (remaining_ == 0 || max_bytes <= 0) return false;
-  const auto& prog = *prog_;
-  // Position on a block: at construction ip_ == 0 which may not be a block.
-  if (in_block_ == 0) {
-    // If ip_ doesn't currently point at a block (fresh cursor or after
-    // finishing one), find the next block.
-    if (ip_ >= static_cast<std::int32_t>(prog.size()) ||
-        prog[ip_].op != Instr::Op::kBlock) {
-      --ip_;  // advance_instr pre-increments
-      advance_instr();
-      if (remaining_ == 0 || elem_ >= count_) return false;
-    }
-  }
-  const Instr& blk = prog[ip_];
+  const Instr& blk = (*prog_)[ip_];
   const std::int64_t base = stack_.empty() ? elem_base_ : stack_.back().base;
   const std::int64_t avail = blk.len - in_block_;
-  const std::int64_t take = std::min(avail, max_bytes);
+  const std::int64_t n = std::min(avail, max_bytes);
   out->offset = base + blk.disp + in_block_;
-  out->len = take;
-  in_block_ += take;
-  remaining_ -= take;
+  out->len = n;
+  remaining_ -= n;
   ++pieces_;
-  if (in_block_ == blk.len) {
+  // in_block_ is written on one branch only. Updating it next to
+  // remaining_ let GCC -O2 merge both into one 16-byte vector store,
+  // which made next() about twice as slow per piece on x86-64.
+  if (n < avail) {
+    in_block_ += n;  // the next call resumes inside this block
+  } else {
     in_block_ = 0;
-    if (remaining_ > 0) advance_instr();
+    std::int64_t stride = 0;
+    if (remaining_ > 0) pass_blocks(1, run_length(&stride));
   }
   return true;
 }

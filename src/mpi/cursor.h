@@ -10,7 +10,7 @@
 // Cursor state is a small copyable value: protocols snapshot it freely.
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +34,7 @@ class BlockCursor {
   enum class ProgramView : std::uint8_t { kCompiled, kCanonical };
 
   BlockCursor() = default;
+  /// Throws std::invalid_argument when `count` is negative.
   BlockCursor(DatatypePtr dt, std::int64_t count,
               ProgramView view = ProgramView::kCompiled);
 
@@ -44,6 +45,18 @@ class BlockCursor {
 
   /// Convenience: full blocks.
   bool next(Block* out) { return next(INT64_MAX, out); }
+
+  /// Produce the next strided run within `max_bytes` as one call
+  /// fn(offset, len, stride, k): k pieces of `len` bytes at offset,
+  /// offset + stride, ..., offset + (k - 1) * stride. When the cursor
+  /// sits at the start of a block that is the only body instruction of
+  /// the innermost loop, or the whole one-block program under the
+  /// implicit `count` loop, k = min(iterations left, max_bytes / len).
+  /// Otherwise the run is the one piece next(max_bytes) yields (k = 1,
+  /// stride = len). pieces_produced() advances by k, exactly as k calls
+  /// of next() would. Returns false when the traversal is complete.
+  template <class Fn>
+  bool take(std::int64_t max_bytes, Fn&& fn);
 
   bool done() const { return remaining_ == 0; }
   std::int64_t bytes_remaining() const { return remaining_; }
@@ -63,18 +76,86 @@ class BlockCursor {
   };
 
   void advance_instr();
+  /// Whole blocks left in the run that starts at the current block (at
+  /// least 1), and the distance between them in `*stride`.
+  std::int64_t run_length(std::int64_t* stride) const;
+  /// Move past `k` whole blocks of the current run of `left` blocks
+  /// (1 <= k <= left): arithmetically inside the run, through
+  /// advance_instr() past its end.
+  void pass_blocks(std::int64_t k, std::int64_t left);
 
   DatatypePtr dt_;
   const std::vector<Instr>* prog_ = nullptr;  // selected by ProgramView
   std::int64_t count_ = 0;
   std::int64_t elem_ = 0;      // current element index
   std::int64_t elem_base_ = 0; // elem_ * extent
-  std::int32_t ip_ = 0;        // instruction pointer within program
+  std::int32_t ip_ = 0;        // on a kBlock while remaining_ > 0
   std::vector<Frame> stack_;
   std::int64_t in_block_ = 0;  // bytes consumed of the current block
   std::int64_t remaining_ = 0;
   std::int64_t total_ = 0;
   std::int64_t pieces_ = 0;
 };
+
+inline std::int64_t BlockCursor::run_length(std::int64_t* stride) const {
+  const auto& prog = *prog_;
+  if (stack_.empty()) {
+    if (prog.size() == 1) {
+      *stride = dt_->extent();
+      return count_ - elem_;
+    }
+  } else {
+    const Frame& f = stack_.back();
+    const Instr& lp = prog[f.loop_instr];
+    if (f.loop_instr + 1 == ip_ && lp.body_end == ip_ + 1) {
+      *stride = lp.step;
+      return lp.count - f.iter;
+    }
+  }
+  *stride = prog[ip_].len;
+  return 1;
+}
+
+inline void BlockCursor::pass_blocks(std::int64_t k, std::int64_t left) {
+  // Stop on the run's last block when it is consumed, and let
+  // advance_instr() unwind from there exactly as a per-piece walk would.
+  const std::int64_t steps = k < left ? k : k - 1;
+  if (steps > 0) {
+    if (stack_.empty()) {
+      elem_ += steps;
+      elem_base_ = elem_ * dt_->extent();
+    } else {
+      Frame& f = stack_.back();
+      f.iter += steps;
+      f.base = f.origin + f.iter * (*prog_)[f.loop_instr].step;
+    }
+  }
+  if (k == left) advance_instr();
+}
+
+template <class Fn>
+bool BlockCursor::take(std::int64_t max_bytes, Fn&& fn) {
+  if (remaining_ == 0 || max_bytes <= 0) return false;
+  if (in_block_ == 0) {
+    const Instr& blk = (*prog_)[ip_];
+    std::int64_t stride = 0;
+    const std::int64_t left = run_length(&stride);
+    const std::int64_t k =
+        blk.len > 0 ? std::min(left, max_bytes / blk.len) : 0;
+    if (k > 0) {
+      const std::int64_t base =
+          stack_.empty() ? elem_base_ : stack_.back().base;
+      fn(base + blk.disp, blk.len, stride, k);
+      remaining_ -= k * blk.len;
+      pieces_ += k;
+      if (remaining_ > 0) pass_blocks(k, left);
+      return true;
+    }
+  }
+  Block b;
+  if (!next(max_bytes, &b)) return false;
+  fn(b.offset, b.len, b.len, std::int64_t{1});
+  return true;
+}
 
 }  // namespace gpuddt::mpi

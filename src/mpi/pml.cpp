@@ -170,6 +170,8 @@ std::string Pml::pending_summary() const {
 
 Request Pml::isend(const void* buf, std::int64_t count, const DatatypePtr& dt,
                    int dst, int tag, int context) {
+  if (count < 0)
+    throw std::invalid_argument("PML: isend with negative count");
   auto req = std::make_unique<SendRequest>();
   req->id = next_id_++;
   req->env = Envelope{context, proc_.rank(), dst, tag};
@@ -272,6 +274,8 @@ void Pml::stream_host_frags(SendRequest& req, const CtsHeader& cts) {
 
 Request Pml::irecv(void* buf, std::int64_t count, const DatatypePtr& dt,
                    int src, int tag, int context) {
+  if (count < 0)
+    throw std::invalid_argument("PML: irecv with negative count");
   auto req = std::make_unique<RecvRequest>();
   req->id = next_id_++;
   req->context = context;

@@ -273,6 +273,8 @@ class Pml {
   explicit Pml(Process& p);
   ~Pml();
 
+  /// Both throw std::invalid_argument on a negative `count`, before any
+  /// request exists.
   Request isend(const void* buf, std::int64_t count, const DatatypePtr& dt,
                 int dst, int tag, int context = 0);
   Request irecv(void* buf, std::int64_t count, const DatatypePtr& dt, int src,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mpi/cpu_pack.h"
+#include "mpi/cursor.h"
 #include "mpi/datatype.h"
 #include "simgpu/runtime.h"
 
@@ -29,13 +30,23 @@ inline void fill_pattern(void* p, std::size_t bytes, std::uint32_t seed) {
     b[i] = static_cast<std::uint8_t>((i * 2654435761u + seed) >> 13);
 }
 
-/// Reference pack of (dt, count) at `src` using the CPU datatype engine.
+/// Reference pack of (dt, count) at `src`: one memcpy per block of a plain
+/// BlockCursor::next() walk, independent of the host engine's batched
+/// run copies (mpi::cpu_pack), so tests can check that engine against it.
 inline std::vector<std::byte> reference_pack(const mpi::DatatypePtr& dt,
                                              std::int64_t count,
                                              const void* src) {
   std::vector<std::byte> out(
       static_cast<std::size_t>(dt->size() * count));
-  mpi::cpu_pack(dt, count, src, out);
+  const auto* base = static_cast<const std::byte*>(src);
+  mpi::BlockCursor cur(dt, count);
+  std::size_t at = 0;
+  mpi::Block b;
+  while (cur.next(&b)) {
+    std::memcpy(out.data() + at, base + b.offset,
+                static_cast<std::size_t>(b.len));
+    at += static_cast<std::size_t>(b.len);
+  }
   return out;
 }
 

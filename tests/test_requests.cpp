@@ -225,6 +225,30 @@ TEST(RequestApi, WaitanyEmptyThrows) {
   });
 }
 
+TEST(RequestApi, NegativeCountRejectedBeforeAnyRequest) {
+  RuntimeConfig cfg = two_ranks();
+  cfg.progress_timeout_ms = 2000;  // a stuck peer fails fast
+  Runtime rt(cfg);
+  rt.run([](Process& p) {
+    Comm comm(p);
+    int v = p.rank() == 0 ? 5 : -1;
+    const int peer = 1 - p.rank();
+    EXPECT_THROW(comm.isend(&v, -1, kInt32(), peer, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(comm.irecv(&v, -3, kInt32(), peer, 0),
+                 std::invalid_argument);
+    EXPECT_EQ(p.pml().pending_summary(), "no pending point-to-point ops");
+    // Nothing was sent or posted: the next exchange on the same tag
+    // matches only itself.
+    if (p.rank() == 0) {
+      comm.send(&v, 1, kInt32(), 1, 0);
+    } else {
+      comm.recv(&v, 1, kInt32(), 0, 0);
+      EXPECT_EQ(v, 5);
+    }
+  });
+}
+
 TEST(RequestApi, TraceProvesPipelineOverlap) {
   // The central mechanism of Section 4.1: fragment k+1 is packed and
   // announced while fragment k is still in flight or being unpacked. The
