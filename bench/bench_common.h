@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,7 @@
 #include "core/layouts.h"
 #include "harness/harness.h"
 #include "mpi/runtime.h"
-#include "mpi/stream_triggered.h"
+#include "obs/knobs.h"
 #include "obs/recorder.h"
 
 namespace gpuddt::bench {
@@ -35,7 +37,6 @@ inline mpi::RuntimeConfig bench_pingpong_cfg() {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
   cfg.machine = bench_machine();
-  cfg.progress_timeout_ms = 60000;
   return cfg;
 }
 
@@ -91,14 +92,16 @@ inline void record(benchmark::State& state, vt::Time virtual_ns,
 /// stdout after the run. `--check` turns the access checker on for every
 /// machine the run creates; `--check-out` also writes the
 /// gpuddt-check-v1 diagnostic report (docs/checking.md).
-/// `--stream-triggered` forces the stream-triggered fragment chains on
-/// for every runtime the run creates (mpi::set_stream_triggered_forced,
-/// docs/protocols.md), same precedence slot as the GPUDDT_CHECK-style
-/// forcing the other flags use. `--latency-out=FILE` switches the
-/// process-global recorder's streaming flow-latency engine on before the
-/// benchmarks run and writes the gpuddt-latency-v1 report
-/// (docs/latency.md) to FILE afterwards - it works with tracing off,
-/// since FlowStats consumes spans before the ring buffer can drop them.
+/// `--stream-triggered` turns the stream-triggered fragment chains on
+/// for every runtime the run creates (docs/protocols.md). Each of these
+/// three sets its knob's environment variable (GPUDDT_CHECK /
+/// GPUDDT_STREAM_TRIGGERED, obs/knobs.h) to "1" before any benchmark
+/// runs, so a config field a benchmark sets still wins.
+/// `--latency-out=FILE` switches the process-global recorder's streaming
+/// flow-latency engine on before the benchmarks run and writes the
+/// gpuddt-latency-v1 report (docs/latency.md) to FILE afterwards - it
+/// works with tracing off, since FlowStats consumes spans before the ring
+/// buffer can drop them.
 /// Returns the usual benchmark exit status.
 inline int bench_main(int argc, char** argv) {
   std::string metrics_out;
@@ -127,15 +130,23 @@ inline int bench_main(int argc, char** argv) {
       profile = true;
       obs::default_recorder().enable_tracing(true);
     } else if (std::strcmp(argv[i], "--stream-triggered") == 0) {
-      mpi::set_stream_triggered_forced(true);
+      setenv("GPUDDT_STREAM_TRIGGERED", "1", 1);
     } else if (std::strcmp(argv[i], "--check") == 0) {
-      check::set_forced(true);
+      setenv("GPUDDT_CHECK", "1", 1);
     } else if (std::strncmp(argv[i], "--check-out=", 12) == 0) {
-      check::set_forced(true);
+      setenv("GPUDDT_CHECK", "1", 1);
       check_out = argv[i] + 12;
     } else {
       args.push_back(argv[i]);
     }
+  }
+  // A malformed knob value fails here, before any benchmark runs, rather
+  // than as an exception escaping the first machine or rendezvous.
+  try {
+    for (const obs::KnobSpec& k : obs::kKnobs) obs::resolve(k.knob);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
   if (!trace_format.empty() && trace_format != "chrome" &&
       trace_format != "v1") {

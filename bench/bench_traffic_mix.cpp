@@ -35,12 +35,6 @@ mpi::RuntimeConfig mix_cfg() {
   mpi::RuntimeConfig cfg;
   cfg.world_size = kWorld;
   cfg.machine = bench_machine();  // 4 ranks sharing 2 devices
-  cfg.progress_timeout_ms = 60000;
-  // The latency engine must behave identically under both schedulers
-  // (the equivalence suite pins the virtual schedule); the bench runs
-  // the default event backend explicitly so the baseline does not
-  // depend on GPUDDT_SIM_BACKEND.
-  cfg.sched_backend = mpi::SchedBackend::kEvent;
   cfg.recorder = &obs::default_recorder();
   return cfg;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "check/config.h"
 #include "simgpu/machine.h"
@@ -181,17 +180,6 @@ void AccessTracker::on_op(const sg::OpInfo& info,
     r.write = mr.write;
     Buffer& buf = buffers_[reinterpret_cast<std::uintptr_t>(base)];
     buf.device = device;
-    if (std::getenv("GPUDDT_CHECK_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "[check] op=%s base=%p lo=%#llx hi=%#llx start=%lld "
-                   "finish=%lld write=%d seq=%llu dev=%d\n",
-                   info.label != nullptr ? info.label : "?", base,
-                   static_cast<unsigned long long>(r.lo),
-                   static_cast<unsigned long long>(r.hi),
-                   static_cast<long long>(r.start),
-                   static_cast<long long>(r.finish), r.write ? 1 : 0,
-                   static_cast<unsigned long long>(r.op_seq), device);
-    }
     scan_and_insert(buf, r);
     ++tracked;
   }

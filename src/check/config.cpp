@@ -1,12 +1,11 @@
 #include "check/config.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 
 #include "obs/json.h"
+#include "obs/knobs.h"
 
 namespace gpuddt::check {
 
@@ -33,18 +32,6 @@ struct Sink {
 Sink& sink() {
   static Sink s;
   return s;
-}
-
-std::optional<bool>& forced() {
-  static std::optional<bool> f;
-  return f;
-}
-
-bool env_enabled(bool fallback) {
-  const char* v = std::getenv("GPUDDT_CHECK");
-  if (v == nullptr || *v == '\0') return fallback;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
 }
 
 void echo(const Diagnostic& d) {
@@ -98,22 +85,9 @@ void append_access(std::string& out, const char* key, const AccessDesc& a) {
 
 }  // namespace
 
-bool default_enabled() {
-#ifdef GPUDDT_CHECK_DEFAULT
-  constexpr bool build_default = true;
-#else
-  constexpr bool build_default = false;
-#endif
-  const bool env = env_enabled(build_default);
-  return forced().value_or(env);
-}
-
 bool enabled_for(int machine_check) {
-  if (machine_check >= 0) return machine_check != 0;
-  return default_enabled();
+  return obs::resolve(obs::Knob::kCheck, machine_check);
 }
-
-void set_forced(std::optional<bool> f) { forced() = f; }
 
 void report(Diagnostic diag) {
   Sink& s = sink();

@@ -1,12 +1,9 @@
 // Enablement and the process-global diagnostic sink of the checking layer.
 //
-// Whether a Machine gets an access tracker attached resolves, in order:
-//   1. MachineConfig::check (0/1) - explicit per-machine setting wins, so
-//      tests can force checking on regardless of environment;
-//   2. set_forced() - a process-wide override (the bench --check flag);
-//   3. the GPUDDT_CHECK environment variable ("0"/"off"/"false" disable,
-//      anything else enables);
-//   4. the GPUDDT_CHECK build option (compile-time default, normally OFF).
+// Whether a Machine gets an access tracker attached follows the knob rule
+// (obs/knobs.h): MachineConfig::check (0/1) wins, then the GPUDDT_CHECK
+// environment variable, then off. The bench --check flag sets the
+// variable.
 //
 // Diagnostics from every tracker and validator in the process land in one
 // sink: counted without bound, stored up to a cap, echoed to stderr up to
@@ -16,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,15 +20,9 @@
 
 namespace gpuddt::check {
 
-/// The build/env/forced default, before any per-machine override.
-bool default_enabled();
-
 /// Resolve enablement for a machine whose config carries `machine_check`
-/// (-1 inherit / 0 off / 1 on).
+/// (-1 follows GPUDDT_CHECK / 0 off / 1 on).
 bool enabled_for(int machine_check);
-
-/// Process-wide override between config and environment (bench --check).
-void set_forced(std::optional<bool> forced);
 
 // --- Diagnostic sink --------------------------------------------------------
 

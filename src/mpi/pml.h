@@ -91,9 +91,10 @@ enum class TransferMode : std::uint8_t {
   /// whole per-fragment pack -> RDMA GET -> unpack -> credit-return chain
   /// is pre-enqueued as stream/event dependencies on both GPUs. No
   /// FragReady/FragFree AMs, no per-fragment host wakeups; only the final
-  /// fin touches the host. Negotiated only when both sides opted in
-  /// (mpi::stream_triggered_enabled) and the kIpcRdma GET preconditions
-  /// hold.
+  /// fin touches the host. Chosen by the receiver when the knob
+  /// resolves on (RuntimeConfig::stream_triggered, then
+  /// GPUDDT_STREAM_TRIGGERED; obs/knobs.h) and the kIpcRdma GET
+  /// preconditions hold.
   kStreamTriggered = 4,
 };
 

@@ -1,9 +1,6 @@
 #include "mpi/runtime.h"
 
-#include <chrono>
-#include <cstdlib>
 #include <exception>
-#include <string>
 #include <thread>
 
 #include "check/access_tracker.h"
@@ -62,33 +59,11 @@ bool Process::progress() {
 }
 
 void Process::progress_blocking() {
-  if (auto* sched = rt_.scheduler()) {
-    for (;;) {
-      if (progress()) return;
-      sched->wait_for_message(rank_);
-    }
-  }
-  if (progress()) return;
-  const auto deadline =
-      // det-lint: allow(wall_clock) - deadlock watchdog, not simulated time
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config().progress_timeout_ms);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) {
-        if (inbox_cv_.wait_until(lock, deadline) ==
-                std::cv_status::timeout &&
-            inbox_.empty()) {
-          throw std::runtime_error(
-              "Process::progress_blocking: no traffic before timeout "
-              "(likely deadlock) on rank " +
-              std::to_string(rank_));
-        }
-      }
-    }
-    if (progress()) return;
-  }
+  vt::TaskScheduler* sched = rt_.scheduler();
+  if (sched == nullptr)
+    throw std::logic_error(
+        "Process::progress_blocking called outside Runtime::run");
+  while (!progress()) sched->wait_for_message(rank_);
 }
 
 void Process::deliver(AmMessage&& m) {
@@ -96,7 +71,6 @@ void Process::deliver(AmMessage&& m) {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     inbox_.push_back(std::move(m));
   }
-  inbox_cv_.notify_one();
   if (auto* sched = rt_.scheduler()) sched->note_message(rank_);
 }
 
@@ -144,20 +118,6 @@ int Runtime::device_of(int rank) const {
 
 Btl& Runtime::btl_between(int a, int b) { return bml_->between(a, b); }
 
-SchedBackend resolve_sched_backend(SchedBackend configured) {
-  if (configured != SchedBackend::kAuto) return configured;
-  if (const char* env = std::getenv("GPUDDT_SIM_BACKEND")) {
-    const std::string v(env);
-    if (v == "event" || v == "fiber") return SchedBackend::kEvent;
-    if (v == "threads" || v == "thread") return SchedBackend::kThreads;
-    if (!v.empty()) {
-      throw std::invalid_argument(
-          "GPUDDT_SIM_BACKEND must be 'event' or 'threads', got '" + v + "'");
-    }
-  }
-  return SchedBackend::kEvent;
-}
-
 void Runtime::run(const std::function<void(Process&)>& fn) {
   if (ran_) throw std::logic_error("Runtime::run may only be called once");
   ran_ = true;
@@ -165,12 +125,8 @@ void Runtime::run(const std::function<void(Process&)>& fn) {
   for (int r = 0; r < cfg_.world_size; ++r)
     procs_.push_back(std::make_unique<Process>(*this, r));
 
-  if (!cfg_.deterministic) {
-    run_threads(fn, /*cooperative=*/false);
-    return;
-  }
-  if (resolve_sched_backend(cfg_.sched_backend) == SchedBackend::kThreads) {
-    run_threads(fn, /*cooperative=*/true);
+  if (cfg_.sched_backend == SchedBackend::kThreads) {
+    run_threads(fn);
     return;
   }
   run_event_loop(fn);
@@ -198,19 +154,14 @@ void Runtime::run_event_loop(const std::function<void(Process&)>& fn) {
   sched_ = nullptr;
 }
 
-// The legacy backends: one OS thread per rank, either cooperating through
-// TurnScheduler (deterministic reference implementation) or free-running
-// with the real-time deadlock watchdog.
-void Runtime::run_threads(const std::function<void(Process&)>& fn,
-                          bool cooperative) {
-  std::unique_ptr<TurnScheduler> turn;
-  if (cooperative) {
-    turn = std::make_unique<TurnScheduler>(cfg_.world_size);
-    turn->set_block_describer([this](int r) {
-      return procs_[static_cast<size_t>(r)]->pml().pending_summary();
-    });
-    sched_ = turn.get();
-  }
+// The reference backend: one OS thread per rank, cooperating through
+// TurnScheduler.
+void Runtime::run_threads(const std::function<void(Process&)>& fn) {
+  TurnScheduler turn(cfg_.world_size);
+  turn.set_block_describer([this](int r) {
+    return procs_[static_cast<size_t>(r)]->pml().pending_summary();
+  });
+  sched_ = &turn;
 
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(cfg_.world_size);
@@ -218,14 +169,14 @@ void Runtime::run_threads(const std::function<void(Process&)>& fn,
   for (int r = 0; r < cfg_.world_size; ++r) {
     threads.emplace_back([&, r] {
       try {
-        if (turn) turn->start(r);
+        turn.start(r);
         fn(*procs_[r]);
       } catch (...) {
         errors[r] = std::current_exception();
       }
       // Leave the rotation even on exception, or the peers would wait for
       // this rank's turn forever.
-      if (turn) turn->finish(r);
+      turn.finish(r);
     });
   }
   for (auto& t : threads) t.join();

@@ -8,13 +8,12 @@
 //                inbox of Active Messages, PML instance.
 //
 // By default every rank is a resumable continuation dispatched by one
-// event loop on the calling thread (SchedBackend::kEvent); the legacy
-// thread backend gives each rank an OS thread instead. A rank-to-node map
+// event loop on the calling thread (SchedBackend::kEvent); the reference
+// thread backend (kThreads) gives each rank an OS thread instead. A rank-to-node map
 // decides whether a pair of ranks communicates over the shared-memory BTL
 // or the simulated InfiniBand BTL.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -42,15 +41,9 @@ class GpuTransferPlugin;
 
 /// Which engine drives the deterministic cooperative schedule.
 enum class SchedBackend {
-  kAuto,     ///< GPUDDT_SIM_BACKEND env ("event"/"threads"), else kEvent
-  kThreads,  ///< legacy mpi::TurnScheduler: one parked OS thread per rank
+  kThreads,  ///< reference mpi::TurnScheduler: one parked OS thread per rank
   kEvent,    ///< vt::EventEngine: resumable continuations, one OS thread
 };
-
-/// Resolve kAuto against the GPUDDT_SIM_BACKEND environment variable
-/// ("event" or "threads"/"thread"; anything else throws). Exposed so
-/// benches/tests can report which backend a run actually used.
-SchedBackend resolve_sched_backend(SchedBackend configured);
 
 /// A BTL-level Active Message: the receiver runs the registered handler
 /// for `handler` when it progresses its inbox ([4] in the paper).
@@ -103,9 +96,9 @@ struct RuntimeConfig {
   /// Stream-triggered fragment chains (docs/protocols.md): pre-enqueue
   /// the whole pack -> RDMA GET -> unpack -> credit chain as stream/event
   /// dependencies after one rendezvous, removing the per-fragment
-  /// FragReady/FragFree host round-trips. Tri-state: -1 follows the
-  /// process-wide default (mpi::stream_triggered_enabled: forced >
-  /// GPUDDT_STREAM_TRIGGERED env > build option), 0/1 force off/on.
+  /// FragReady/FragFree host round-trips. Tri-state (obs/knobs.h): -1
+  /// follows the GPUDDT_STREAM_TRIGGERED env var (off when unset), 0/1
+  /// force off/on.
   int stream_triggered = -1;
   /// Work-unit size S of the GPU datatype engine (Section 3.2).
   std::int64_t dev_unit_bytes = 1024;
@@ -121,19 +114,13 @@ struct RuntimeConfig {
   /// Force the copy-in/out protocol even when IPC would be available.
   bool force_copy_inout = false;
 
-  /// Cooperative deterministic scheduling (vtime/engine.h, mpi/sched.h):
-  /// ranks take round-robin turns instead of free-running, so every touch
-  /// of shared virtual-time state (arenas, timed resources, inboxes)
-  /// happens in a program-defined order and repeat runs are
-  /// bit-identical. Off restores the legacy free-running threads with the
-  /// real-time deadlock timeout.
-  bool deterministic = true;
-
-  /// Which scheduler implements the deterministic rotation. Both backends
-  /// produce byte-identical virtual schedules (the equivalence suite pins
-  /// this); the event backend is the default and scales to 1000+ ranks.
-  /// Precedence: this field > GPUDDT_SIM_BACKEND env > event.
-  SchedBackend sched_backend = SchedBackend::kAuto;
+  /// Which scheduler implements the deterministic round-robin rotation
+  /// (vtime/engine.h, mpi/sched.h): ranks take turns, so every touch of
+  /// shared virtual-time state (arenas, timed resources, inboxes) happens
+  /// in a program-defined order and repeat runs are bit-identical. Both
+  /// backends produce byte-identical virtual schedules (the equivalence
+  /// suite pins this); the event backend scales to 1000+ ranks.
+  SchedBackend sched_backend = SchedBackend::kEvent;
 
   /// Usable stack bytes per rank continuation (event backend only). Rank
   /// bodies run protocol code on these stacks; the default fits the
@@ -141,9 +128,10 @@ struct RuntimeConfig {
   /// ample headroom, and a guard page faults on overflow.
   std::size_t sim_stack_bytes = std::size_t{1} << 20;
 
-  /// Real-time guard for the non-deterministic mode: a blocking progress
-  /// loop that sees no traffic for this many milliseconds aborts the run.
-  /// (The deterministic scheduler detects deadlock exactly instead.)
+  /// Inert: nothing reads it. Both schedulers detect deadlock exactly, so
+  /// there is no real-time watchdog left to bound. Kept only because the
+  /// wall-clock benchmark (perfbench/bench.cpp) still assigns it; remove
+  /// it together with that assignment.
   int progress_timeout_ms = 30000;
 
   /// Optional observability sink shared by every rank (counters,
@@ -185,8 +173,9 @@ class Process {
   /// Drain and dispatch pending messages; returns true if any ran.
   bool progress();
 
-  /// Block until at least one message is processed (with the deadlock
-  /// timeout from the config).
+  /// Block until at least one message is processed; the scheduler runs
+  /// the peers meanwhile and reports a deadlock when none can progress.
+  /// Only valid inside Runtime::run.
   void progress_blocking();
 
   /// Called by peer threads to enqueue a message.
@@ -203,7 +192,6 @@ class Process {
   std::unique_ptr<Pml> pml_;
 
   std::mutex inbox_mu_;
-  std::condition_variable inbox_cv_;
   std::deque<AmMessage> inbox_;
 };
 
@@ -228,7 +216,7 @@ class Runtime {
 
   /// SPMD entry: run `fn` once per rank. Under the default event backend
   /// every rank is a resumable continuation dispatched by one event loop
-  /// on the calling thread; the thread backends spawn one OS thread per
+  /// on the calling thread; the thread backend spawns one OS thread per
   /// rank. The lowest-failing-rank exception is rethrown at the end.
   void run(const std::function<void(Process&)>& fn);
 
@@ -241,17 +229,16 @@ class Runtime {
     return rank / cfg_.ranks_per_node;
   }
 
-  /// The cooperative scheduler; null when config().deterministic is off
-  /// or outside run().
+  /// The cooperative scheduler; null outside run().
   vt::TaskScheduler* scheduler() { return sched_; }
 
   /// Event-loop counters from the last run (all zero after thread-backend
-  /// or free-running runs). Deterministic for a fixed program, so
+  /// runs). Deterministic for a fixed program, so
   /// bench_sim_throughput gates them byte-exactly.
   const vt::EngineStats& sim_stats() const { return sim_stats_; }
 
  private:
-  void run_threads(const std::function<void(Process&)>& fn, bool cooperative);
+  void run_threads(const std::function<void(Process&)>& fn);
   void run_event_loop(const std::function<void(Process&)>& fn);
 
   RuntimeConfig cfg_;

@@ -23,8 +23,8 @@
 // the global interleaving - and with it every allocation offset, resource
 // reservation order and inbox arrival order - is a pure function of the
 // program. A side benefit: "all remaining ranks blocked on empty inboxes"
-// is detected exactly, so deadlocks surface immediately instead of after
-// RuntimeConfig::progress_timeout_ms.
+// is detected exactly, so deadlocks surface immediately instead of after a
+// real-time timeout.
 #pragma once
 
 #include <condition_variable>

@@ -70,9 +70,9 @@ void write_value(std::string& out, const json::Value& v) {
 /// One "name": value line per metric keeps mismatch reports (and text
 /// diffs of checked-in baselines) readable.
 /// Metrics produced by the optional access checker, not by the simulated
-/// program. GPUDDT_CHECK builds (ci.sh stage 2) attach the checker to
+/// program. GPUDDT_CHECK=1 runs (ci.sh stage 2) attach the checker to
 /// every machine, so keeping these would make the canonical text depend
-/// on the build configuration instead of on program behavior.
+/// on the run configuration instead of on program behavior.
 bool instrumentation_metric(const std::string& key) {
   // verify.prover_ns is wall-clock prover time (src/verify/hook.cpp) -
   // real host nanoseconds, never deterministic across runs. The other

@@ -10,7 +10,7 @@
 //     and --trace is opt-in), not a gated metric, and is dropped;
 //   - `check.*` metrics are dropped: they come from the optional access
 //     checker (GPUDDT_CHECK / --check), so keeping them would make the
-//     canonical text depend on the build configuration;
+//     canonical text depend on whether the checker ran;
 //   - object keys are sorted (json::Object is a std::map, so parsing
 //     alone establishes this);
 //   - numbers print as integers whenever they are exactly representable

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "mpi/stream_triggered.h"
+#include "obs/knobs.h"
 #include "obs/recorder.h"
 #include "simgpu/staging.h"
 
@@ -765,10 +765,11 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
   // per-fragment recurrence purely through stream/event dependencies.
   // PUT mode has no triggered form and always runs host-driven.
   st->op = eng.start(Engine::Dir::kUnpack, req.dt, req.count, req.buf);
-  st->mode = mpi::stream_triggered_enabled(cfg.stream_triggered) &&
-                     !cfg.rdma_put_mode
-                 ? TransferMode::kStreamTriggered
-                 : TransferMode::kIpcRdma;
+  const bool triggered =
+      obs::resolve(obs::Knob::kStreamTriggered, cfg.stream_triggered) &&
+      !cfg.rdma_put_mode;
+  st->mode =
+      triggered ? TransferMode::kStreamTriggered : TransferMode::kIpcRdma;
   if (st->mode == TransferMode::kStreamTriggered) eng.stage_all(*st->op);
   CtsHeader cts;
   cts.mode = st->mode;

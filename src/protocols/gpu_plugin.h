@@ -21,8 +21,8 @@
 //  * Stream-triggered chains (TransferMode::kStreamTriggered): the same
 //    pipeline with the per-fragment recurrence enqueued at rendezvous time
 //    as stream/event dependencies instead of FragReady/FragFree AMs, so no
-//    host wakes per fragment. Opt-in (mpi/stream_triggered.h); GET mode
-//    only.
+//    host wakes per fragment. Opt-in (GPUDDT_STREAM_TRIGGERED,
+//    obs/knobs.h); GET mode only.
 //
 //  * Copy-in/copy-out protocol (Section 4.2, TransferMode::kHostFrags):
 //    when IPC / GPUDirect is unavailable (different nodes, or disabled),

@@ -72,8 +72,8 @@ class AccessObserver {
 
 /// Factory for the machine's default observer, defined in
 /// src/check/access_tracker.cpp. Returns null when checking is disabled
-/// (build default, GPUDDT_CHECK env var and MachineConfig::check decide;
-/// see check/config.h). Declared here so Machine can self-attach without
+/// (MachineConfig::check, then the GPUDDT_CHECK env var decide; see
+/// check/config.h). Declared here so Machine can self-attach without
 /// simgpu depending on check/ headers.
 std::unique_ptr<AccessObserver> make_default_observer(Machine& machine);
 

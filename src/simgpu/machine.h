@@ -77,9 +77,9 @@ struct MachineConfig {
   CostModel cost;
   /// Intra-node NVLink domains and inter-node fat-tree shape.
   TopologyConfig topo;
-  /// Device-access checking (src/check/): -1 inherits the build/env
-  /// default (GPUDDT_CHECK option, GPUDDT_CHECK env var), 0 forces it
-  /// off, 1 forces it on for this machine.
+  /// Device-access checking (src/check/): -1 follows the GPUDDT_CHECK
+  /// env var (off when unset), 0 forces it off, 1 forces it on for this
+  /// machine.
   int check = -1;
 };
 

@@ -1,33 +1,16 @@
 #include "verify/hook.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <mutex>
 #include <string>
 
 #include "check/config.h"
+#include "obs/knobs.h"
 #include "obs/recorder.h"
 #include "verify/verifier.h"
 
 namespace gpuddt::verify {
 
 namespace {
-
-std::mutex g_mutex;
-std::optional<bool> g_forced;
-
-bool env_enabled() {
-  const char* v = std::getenv("GPUDDT_VERIFY");
-  if (v == nullptr) {
-#ifdef GPUDDT_VERIFY_DEFAULT
-    return true;
-#else
-    return false;
-#endif
-  }
-  const std::string s(v);
-  return !(s == "0" || s == "off" || s == "false");
-}
 
 /// Count one report's obligations and surface any failure as a
 /// diagnostic; returns true when the report certifies.
@@ -44,16 +27,7 @@ bool account(const Report& rep, obs::Recorder* rec) {
 
 }  // namespace
 
-bool enabled() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (g_forced.has_value()) return *g_forced;
-  return env_enabled();
-}
-
-void set_forced(std::optional<bool> forced) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_forced = forced;
-}
+bool enabled() { return obs::resolve(obs::Knob::kVerify); }
 
 void certify_insert(const mpi::DatatypePtr& dt, std::int64_t count,
                     std::int64_t unit_bytes,

@@ -8,11 +8,8 @@
 // src/check/ sink and throws CertificationFailure - an uncertified DEV
 // never becomes reachable from the cache.
 //
-// Enablement resolves, mirroring the checking layer (check/config.h):
-//   1. set_forced() - process-wide override (tools / tests);
-//   2. the GPUDDT_VERIFY environment variable ("0"/"off"/"false"
-//      disable, anything else enables);
-//   3. the GPUDDT_VERIFY build option (compile-time default, OFF).
+// Enablement follows the knob rule (obs/knobs.h): the GPUDDT_VERIFY
+// environment variable, else off. It has no config field.
 //
 // Certification traffic is observable through the verify.* counters
 // (docs/metrics.md): obligations proved/failed, DEVs
@@ -22,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -41,12 +37,8 @@ class CertificationFailure : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Resolved enablement: forced > environment > build default.
+/// Resolved enablement: GPUDDT_VERIFY, else off.
 bool enabled();
-
-/// Process-wide override between environment and build default
-/// (tools/dev_verify, tests). nullopt restores the environment default.
-void set_forced(std::optional<bool> forced);
 
 /// Certify (dt, count, unit_bytes) -> units at a cache-insert boundary.
 /// Counts verify.* metrics into `rec` (nullable) and throws

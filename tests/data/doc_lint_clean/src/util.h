@@ -1,4 +1,4 @@
 // Fixture source: defines everything the fixture docs claim.
 #pragma once
-// reads GPUDDT_DEMO; CLI parsing accepts "--demo-flag".
+// CLI parsing accepts "--demo-flag".
 inline const char* kDemoFlag = "--demo-flag";

@@ -22,7 +22,6 @@ RuntimeConfig raw_world(int ranks, int per_node) {
   cfg.ranks_per_node = per_node;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 128u << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 

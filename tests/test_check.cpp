@@ -26,7 +26,7 @@ using Dir = core::GpuDatatypeEngine::Dir;
 
 sg::MachineConfig checked_config(int devices = 1) {
   sg::MachineConfig m = test::machine_config(devices);
-  m.check = 1;  // explicit per-machine setting beats env / build default
+  m.check = 1;  // explicit per-machine setting beats GPUDDT_CHECK
   return m;
 }
 
@@ -52,6 +52,18 @@ TEST(CheckConfig, MachineSettingWins) {
   sg::Machine m_on(checked_config());
   ASSERT_NE(m_on.observer(), nullptr);
   EXPECT_NE(check::tracker_of(m_on), nullptr);
+}
+
+TEST(CheckConfig, EnvOffWordsLeaveCheckerDetached) {
+  test::ScopedEnv env("GPUDDT_CHECK");
+  for (const char* off : {"OFF", "False", "no", "0"}) {
+    env.set(off);
+    sg::Machine m(test::machine_config(1));
+    EXPECT_EQ(m.observer(), nullptr) << "GPUDDT_CHECK=" << off;
+  }
+  env.set("On");
+  sg::Machine on(test::machine_config(1));
+  EXPECT_NE(check::tracker_of(on), nullptr);
 }
 
 // --- Hazard detector --------------------------------------------------------

@@ -22,7 +22,6 @@ RuntimeConfig world(int n, int ranks_per_node = 1 << 30) {
   cfg.ranks_per_node = ranks_per_node;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 15000;
   return cfg;
 }
 

@@ -34,7 +34,6 @@ RuntimeConfig gpu_world() {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256 << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 
@@ -110,6 +109,19 @@ void run_stream_triggered(RuntimeConfig cfg, const DatatypePtr& dt,
 }
 
 // --- Pipelined RDMA over IPC (Section 4.1) -------------------------------------------
+
+TEST(GpuStreamTriggered, EnvOffWordsLeaveChainsOff) {
+  const auto dt = core::lower_triangular_type(200, 200);
+  test::ScopedEnv env("GPUDDT_STREAM_TRIGGERED", "False");
+  EXPECT_EQ(run_transfer(gpu_world(), dt, 1, true, dt, 1, true)
+                .stream_triggered, 0);
+  env.set("OFF");
+  EXPECT_EQ(run_transfer(gpu_world(), dt, 1, true, dt, 1, true)
+                .stream_triggered, 0);
+  env.set("1");
+  EXPECT_EQ(run_transfer(gpu_world(), dt, 1, true, dt, 1, true)
+                .stream_triggered, 1);
+}
 
 TEST(GpuRdma, TriangularBetweenTwoGpus) {
   auto dt = core::lower_triangular_type(256, 256);

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "mpi/cpu_pack.h"
@@ -107,5 +109,37 @@ inline std::int64_t span_bytes(const mpi::DatatypePtr& dt,
   if (count <= 0 || dt->size() == 0) return 1;
   return dt->true_extent() + (count - 1) * dt->extent() + 64;
 }
+
+/// Sets or unsets one environment variable for the scope and restores
+/// the previous value on exit. The run-mode knobs (obs/knobs.h) read
+/// their variable on every call, so this scopes an override to the
+/// machines and runtimes created inside it.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const char* name) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+  }
+  ScopedEnv(const char* name, const char* value) : ScopedEnv(name) {
+    set(value);
+  }
+  ~ScopedEnv() {
+    if (had_)
+      setenv(name_, saved_.c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void set(const char* v) { setenv(name_, v, 1); }
+  void unset() { unsetenv(name_); }
+
+ private:
+  const char* name_;
+  bool had_;
+  std::string saved_;
+};
 
 }  // namespace gpuddt::test

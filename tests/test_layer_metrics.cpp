@@ -74,7 +74,6 @@ mpi::RuntimeConfig world(int n, obs::Recorder* rec) {
   cfg.world_size = n;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 15000;
   cfg.recorder = rec;
   return cfg;
 }

@@ -20,7 +20,6 @@ RuntimeConfig small_world(int n = 2) {
   cfg.world_size = n;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 64 << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 
@@ -313,7 +312,6 @@ TEST(MpiHost, RuntimeRejectsSecondRun) {
 
 TEST(MpiHost, DeviceSendWithoutPluginThrows) {
   RuntimeConfig cfg = small_world();
-  cfg.progress_timeout_ms = 300;  // peer rank aborts quickly
   Runtime rt(cfg);
   EXPECT_THROW(rt.run([](Process& p) {
                  Comm comm(p);

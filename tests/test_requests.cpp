@@ -18,7 +18,6 @@ RuntimeConfig two_ranks() {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 15000;
   return cfg;
 }
 
@@ -227,7 +226,6 @@ TEST(RequestApi, WaitanyEmptyThrows) {
 
 TEST(RequestApi, NegativeCountRejectedBeforeAnyRequest) {
   RuntimeConfig cfg = two_ranks();
-  cfg.progress_timeout_ms = 2000;  // a stuck peer fails fast
   Runtime rt(cfg);
   rt.run([](Process& p) {
     Comm comm(p);

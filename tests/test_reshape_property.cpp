@@ -79,7 +79,6 @@ TEST_P(ReshapeProperty, PackedStreamSurvivesAnyLayoutPair) {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 128u << 20;
-  cfg.progress_timeout_ms = 15000;
   // Randomize the transport so every protocol sees these layouts.
   if (GetParam() % 3 == 1) cfg.ranks_per_node = 1;
   if (GetParam() % 4 == 2) cfg.ipc_enabled = false;

@@ -4,7 +4,6 @@
 // backends, 1000-rank scale, and the modeled NVLink/fat-tree topology.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -127,53 +126,6 @@ TEST(EventEngine, DeadlockReportNamesEveryBlockedTask) {
     EXPECT_TRUE(contains(msg, "rank 0: op0")) << msg;
     EXPECT_TRUE(contains(msg, "rank 1: op1")) << msg;
   }
-}
-
-// --- Backend selection ------------------------------------------------------
-
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-  }
-  ~ScopedEnv() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-  void set(const char* v) { setenv(name_, v, 1); }
-  void unset() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_;
-  std::string saved_;
-};
-
-TEST(SchedBackendConfig, EnvAndFieldPrecedence) {
-  ScopedEnv env("GPUDDT_SIM_BACKEND");
-  env.unset();
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  env.set("threads");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kThreads);
-  env.set("event");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  env.set("fiber");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  // An explicit config field wins over the environment.
-  env.set("threads");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kEvent),
-            mpi::SchedBackend::kEvent);
-  env.set("bogus");
-  EXPECT_THROW(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-               std::invalid_argument);
 }
 
 // --- Scheduler equivalence: event core vs. legacy thread backend ------------

@@ -29,7 +29,6 @@ RuntimeConfig stress_world(int ranks, int per_node) {
   cfg.ranks_per_node = per_node;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 512u << 20;
-  cfg.progress_timeout_ms = 20000;
   return cfg;
 }
 
@@ -170,7 +169,6 @@ TEST(Stress, DeviceMemoryIsReleasedAfterTransfers) {
 
 TEST(Stress, TruncatingRendezvousThrows) {
   RuntimeConfig cfg = stress_world(2, 1 << 30);
-  cfg.progress_timeout_ms = 500;
   Runtime rt(cfg);
   EXPECT_THROW(
       rt.run([](Process& p) {
@@ -338,7 +336,6 @@ TEST(Stress, SixGpusLikeThePaperNode) {
   cfg.world_size = 6;
   cfg.machine.num_devices = 6;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 20000;
   Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([](Process& p) {

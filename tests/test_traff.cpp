@@ -16,7 +16,6 @@
 #include "mpi/datatype.h"
 #include "mpi/pml.h"
 #include "mpi/runtime.h"
-#include "mpi/stream_triggered.h"
 #include "obs/flowstats.h"
 #include "obs/recorder.h"
 #include "protocols/gpu_plugin.h"
@@ -37,7 +36,6 @@ RuntimeConfig gpu_world() {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256 << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 

@@ -5,7 +5,6 @@
 // cache-insert hook must keep uncertifiable DEVs out of the cache.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <random>
 #include <vector>
 
@@ -253,14 +252,8 @@ TEST(VerifyPipeline, StreamTriggeredRejectsUnmodeledShapes) {
 
 // --- The cache-insert hook --------------------------------------------------------
 
-class ForcedVerify {
- public:
-  ForcedVerify() { set_forced(true); }
-  ~ForcedVerify() { set_forced(std::nullopt); }
-};
-
 TEST(VerifyHook, CertifiesGoodInsertAndRejectsCorruptOne) {
-  ForcedVerify forced;
+  test::ScopedEnv env("GPUDDT_VERIFY", "1");
   ASSERT_TRUE(enabled());
   sg::Machine m;
   sg::HostContext ctx(m, 0);
@@ -280,9 +273,23 @@ TEST(VerifyHook, CertifiesGoodInsertAndRejectsCorruptOne) {
 }
 
 TEST(VerifyHook, ForcedOffDisablesCertification) {
-  set_forced(false);
+  test::ScopedEnv env("GPUDDT_VERIFY", "0");
   EXPECT_FALSE(enabled());
-  set_forced(std::nullopt);
+}
+
+TEST(VerifyHook, EmptyEnvDoesNotCertify) {
+  test::ScopedEnv env("GPUDDT_VERIFY", "");
+  EXPECT_FALSE(enabled());
+  sg::Machine m;
+  sg::HostContext ctx(m, 0);
+  core::DevCache cache;
+  const DatatypePtr dt = core::lower_triangular_type(16, 16);
+  auto bad = core::convert_all(dt, 2, 1024);
+  ASSERT_GE(bad.size(), 2u);
+  bad[1].nc_disp += 8;
+  // No certification runs, so the corrupt DEV is cached as given.
+  cache.insert(ctx, dt, 2, 1024, std::move(bad));
+  EXPECT_NE(cache.find(dt, 2, 1024), nullptr);
 }
 
 // --- Symbolic algebra edge cases --------------------------------------------------

@@ -11,16 +11,22 @@ such claim from the tree on each run:
   broken_ref      -- a repo path mentioned in a doc (docs/foo.md,
                      src/bar/baz.h, tools/x.py, ... or a relative
                      markdown link target) that does not exist.
-  unknown_env     -- a GPUDDT_* environment/build variable documented but
-                     never read anywhere under src/, tools/, bench/,
-                     tests/, examples/ or the CMake files.
-  unknown_flag    -- a --command-line-flag documented but absent from the
-                     same corpus.
+  unknown_env     -- a GPUDDT_* name documented that is neither a row of
+                     the run-mode knob table (kKnobs in src/obs/knobs.h)
+                     nor a CMake option (option() or a CACHE variable in
+                     a CMakeLists.txt). Mentions elsewhere - comments
+                     included - do not count.
+  unknown_flag    -- a --command-line-flag documented but absent from
+                     every file under src/, tools/, bench/, tests/,
+                     examples/ and the top-level CMake files.
   unknown_family  -- a `family.metric` counter documented in
                      docs/metrics.md whose family is not pre-registered
                      in kKnownFamilies (tools/metrics_diff.cpp).
   undocumented_family -- a kKnownFamilies entry that docs/metrics.md
                      never mentions (reported against metrics.md line 1).
+  undocumented_env -- a knob-table entry missing from the knob table in
+                     docs/api.md, i.e. from every markdown table row there
+                     (reported against api.md line 1).
 
 A finding on a line carrying (or directly below) the waiver comment
 
@@ -77,6 +83,37 @@ def load_corpus(root: Path) -> str:
     return "\n".join(chunks)
 
 
+def knob_envs(root: Path) -> set:
+    """The environment variables of kKnobs in src/obs/knobs.h."""
+    src = root / "src" / "obs" / "knobs.h"
+    if not src.is_file():
+        return set()
+    m = re.search(r"kKnobs\[\]\s*=\s*\{(.*?)\};",
+                  src.read_text(errors="replace"), re.DOTALL)
+    if not m:
+        return set()
+    return set(re.findall(r'"(GPUDDT_[A-Z0-9_]+)"', m.group(1)))
+
+
+def cmake_options(root: Path) -> set:
+    """GPUDDT_* option() names and CACHE variables of the project's
+    CMakeLists.txt files (the lint fixtures under tests/data excluded)."""
+    files = [root / "CMakeLists.txt"]
+    for d in CORPUS_DIRS:
+        if (root / d).is_dir():
+            files.extend(sorted((root / d).rglob("CMakeLists.txt")))
+    fixtures = root / "tests" / "data"
+    names = set()
+    for p in files:
+        if not p.is_file() or fixtures in p.parents:
+            continue
+        text = p.read_text(errors="replace")
+        names.update(re.findall(r"\boption\(\s*(GPUDDT_[A-Z0-9_]+)", text))
+        names.update(re.findall(
+            r"\bset\(\s*(GPUDDT_[A-Z0-9_]+)[^)]*\bCACHE\b", text))
+    return names
+
+
 def known_families(root: Path) -> set:
     """The kKnownFamilies initializer in tools/metrics_diff.cpp."""
     src = root / "tools" / "metrics_diff.cpp"
@@ -97,7 +134,8 @@ def waived(rule: str, lines: list, i: int) -> bool:
     return False
 
 
-def lint_doc(root: Path, doc: Path, corpus: str, families: set) -> list:
+def lint_doc(root: Path, doc: Path, corpus: str, envs: set,
+             families: set) -> list:
     findings = []
     lines = doc.read_text(errors="replace").splitlines()
     in_fence = False
@@ -119,7 +157,7 @@ def lint_doc(root: Path, doc: Path, corpus: str, families: set) -> list:
                     findings.append((doc, i + 1, "broken_ref", target))
 
         for m in ENV.finditer(line):
-            if m.group(0) not in corpus:
+            if m.group(0) not in envs:
                 if not waived("unknown_env", lines, i):
                     findings.append((doc, i + 1, "unknown_env", m.group(0)))
 
@@ -161,11 +199,21 @@ def main(argv: list) -> int:
         print(f"doc_lint: no docs/*.md under {root}", file=sys.stderr)
         return 2
     corpus = load_corpus(root)
+    knobs = knob_envs(root)
+    envs = knobs | cmake_options(root)
     families = known_families(root)
 
     findings = []
     for doc in docs:
-        findings.extend(lint_doc(root, doc, corpus, families))
+        findings.extend(lint_doc(root, doc, corpus, envs, families))
+
+    api_md = root / "docs" / "api.md"
+    api_rows = [line for line in (api_md.read_text(errors="replace")
+                                  if api_md.is_file() else "").splitlines()
+                if line.lstrip().startswith("|")]
+    for env in sorted(knobs):
+        if not any(re.search(rf"\b{env}\b", row) for row in api_rows):
+            findings.append((api_md, 1, "undocumented_env", env))
 
     metrics_md = root / "docs" / "metrics.md"
     if metrics_md.is_file() and families:

@@ -41,7 +41,6 @@ mpi::RuntimeConfig pp_cfg() {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
   cfg.machine = machine();
-  cfg.progress_timeout_ms = 60000;
   return cfg;
 }
 
