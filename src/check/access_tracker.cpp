@@ -43,7 +43,6 @@ AccessDesc describe(const char* label, const void* queue,
 AccessTracker::AccessTracker(sg::Machine& machine) : machine_(machine) {}
 
 void AccessTracker::set_recorder(obs::Recorder* rec) {
-  std::lock_guard<std::mutex> lock(mu_);
   rec_ = rec;
   if (rec_ == nullptr) return;
   // Pre-register so a checked run's dump always carries the counters.
@@ -54,12 +53,10 @@ void AccessTracker::set_recorder(obs::Recorder* rec) {
 }
 
 std::int64_t AccessTracker::ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return ops_;
 }
 
 std::int64_t AccessTracker::hazards() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return hazards_;
 }
 
@@ -119,7 +116,6 @@ void AccessTracker::compact(Buffer& buf) {
 
 void AccessTracker::on_op(const sg::OpInfo& info,
                           std::span<const sg::MemRange> ranges) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++ops_;
   obs::count(rec_, "check.ops");
   // Normalize: drop empty ranges, then merge touching same-kind ranges so
@@ -188,13 +184,11 @@ void AccessTracker::on_op(const sg::OpInfo& info,
 }
 
 void AccessTracker::on_release(const void* ptr, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto lo = reinterpret_cast<std::uintptr_t>(ptr);
   buffers_.erase(buffers_.lower_bound(lo), buffers_.lower_bound(lo + bytes));
 }
 
 void AccessTracker::on_reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   buffers_.clear();
 }
 

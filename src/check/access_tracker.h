@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -79,7 +78,6 @@ class AccessTracker : public sg::AccessObserver {
   void compact(Buffer& buf);
 
   sg::Machine& machine_;
-  mutable std::mutex mu_;
   std::map<std::uintptr_t, Buffer> buffers_;  // key: allocation base
   obs::Recorder* rec_ = nullptr;
   std::uint64_t next_seq_ = 1;

@@ -18,6 +18,9 @@ constexpr std::size_t kMaxStored = 1024;
 /// First N diagnostics are echoed to stderr for direct CI visibility.
 constexpr std::int64_t kMaxEchoed = 50;
 
+// Process-global: trackers of Runtimes running on different threads all
+// report here, so the sink keeps its mutex (docs/simulator.md,
+// "Threading contract").
 struct Sink {
   std::mutex mu;
   std::vector<Diagnostic> stored;

@@ -27,7 +27,8 @@ bool enabled_for(int machine_check);
 // --- Diagnostic sink --------------------------------------------------------
 
 /// Record a diagnostic: count it, store it (up to a cap) and echo it to
-/// stderr (up to a smaller cap). Thread-safe.
+/// stderr (up to a smaller cap). Thread-safe: the sink is process-global
+/// and Runtimes on different threads report into it.
 void report(Diagnostic diag);
 
 /// Stored diagnostics (capped copy; counts below are exact).

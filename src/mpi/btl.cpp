@@ -12,7 +12,6 @@ namespace gpuddt::mpi {
 // resource single-writer in steady state, which makes virtual timelines
 // deterministic across runs.
 vt::TimedResource& SmBtl::channel(int a, int b) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = chans_[std::make_pair(a, b)];
   if (!slot) slot = std::make_unique<vt::TimedResource>();
   return *slot;
@@ -61,7 +60,6 @@ bool SmBtl::supports_gpu_rdma(const Process& self, int /*peer*/) const {
 // --- IbBtl ------------------------------------------------------------------------
 
 vt::TimedResource& IbBtl::link(int node_a, int node_b, bool large) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Small control messages stay on rail 0 (keeps the handshake latency
   // path warm); large payloads round-robin across the configured rails.
   int rail = 0;
@@ -82,7 +80,6 @@ int IbBtl::leaf_of(int node) const {
 }
 
 vt::TimedResource& IbBtl::leaf_uplink(int leaf, int direction, bool large) {
-  std::lock_guard<std::mutex> lock(mu_);
   int up = 0;
   const int uplinks =
       std::max(1, rt_.machine().config().topo.fat_tree_uplinks);

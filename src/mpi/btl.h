@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mpi/runtime.h"
@@ -85,7 +84,6 @@ class SmBtl : public Btl {
   vt::TimedResource& channel(int a, int b);
 
   Runtime& rt_;
-  std::mutex mu_;
   std::map<std::pair<int, int>, std::unique_ptr<vt::TimedResource>> chans_;
 };
 
@@ -132,7 +130,6 @@ class IbBtl : public Btl {
                            vt::Reservation wire);
 
   Runtime& rt_;
-  std::mutex mu_;
   /// Directional links keyed by (src node, dst node, rail).
   std::map<std::tuple<int, int, int>, std::unique_ptr<vt::TimedResource>>
       links_;

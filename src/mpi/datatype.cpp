@@ -215,6 +215,9 @@ WalkResult walk(std::span<const Instr> prog, std::size_t i0, std::size_t i1) {
   return r;
 }
 
+// Process-global: independent Runtimes may build datatypes on different
+// threads at once (docs/simulator.md, "Threading contract"), so the id
+// counter stays atomic.
 std::atomic<std::uint64_t> g_next_type_id{1};
 
 }  // namespace

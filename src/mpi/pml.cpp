@@ -43,26 +43,19 @@ constexpr int kBarrierTagBase = 0x3fff0000;
 
 }  // namespace
 
-int Pml::h_eager_ = -1;
-int Pml::h_rts_ = -1;
-int Pml::h_cts_ = -1;
-int Pml::h_frag_ = -1;
-int Pml::h_fin_ = -1;
-
 Pml::Pml(Process& p) : proc_(p), next_id_(1) {}
 Pml::~Pml() = default;
 
 void Pml::register_handlers(Runtime& rt) {
-  h_eager_ = rt.register_handler(
+  const int first = rt.register_handler(
       [](Process& p, AmMessage& m) { p.pml().on_eager(m); });
-  h_rts_ =
-      rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_rts(m); });
-  h_cts_ =
-      rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_cts(m); });
-  h_frag_ = rt.register_handler(
-      [](Process& p, AmMessage& m) { p.pml().on_frag(m); });
-  h_fin_ =
-      rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_fin(m); });
+  rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_rts(m); });
+  rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_cts(m); });
+  rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_frag(m); });
+  rt.register_handler([](Process& p, AmMessage& m) { p.pml().on_fin(m); });
+  if (first != h_eager_)
+    throw std::logic_error(
+        "Pml::register_handlers must precede every other handler");
 }
 
 void Pml::charge_cpu_pack(const PackStats& st) {
@@ -498,7 +491,7 @@ void Pml::on_fin(AmMessage& m) {
       obs::observe(proc_.config().recorder, "pml.cts_to_fin_ns",
                    m.arrival - req->cts_sent);
     // Plugin-owned recvs (stream-triggered chains) finalize their engine
-    // op and free staging here, on the receiver's own thread: this fin is
+    // op and free staging here, in the receiver's own turn: this fin is
     // the first host wakeup the transfer caused on this rank.
     if (req->plugin && proc_.runtime().gpu_plugin() != nullptr)
       proc_.runtime().gpu_plugin()->recv_fin(proc_, *req, m.arrival);

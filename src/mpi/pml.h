@@ -41,7 +41,7 @@ struct Status {
   std::int64_t bytes = 0;
 };
 
-/// User-visible request handle. Mutated only on the owning rank's thread.
+/// User-visible request handle. Mutated only while the owning rank runs.
 struct RequestState {
   bool done = false;
   Status status;  // status.source is a world rank until translated
@@ -255,7 +255,7 @@ class GpuTransferPlugin {
                           vt::Time arrival) = 0;
 
   /// Receiver side: the sender's completion fin arrived for a recv this
-  /// plugin owns (req.plugin set). Runs on the receiver's thread just
+  /// plugin owns (req.plugin set). Runs in the receiver's turn just
   /// before Pml::complete_recv - the stream-triggered chain finalizes its
   /// engine op and frees staging here, since no per-fragment AM ever
   /// wakes the receiver. Default: nothing (host-driven modes finished
@@ -304,16 +304,18 @@ class Pml {
   /// of just its id.
   std::string pending_summary() const;
 
-  /// Register the PML's AM handlers (once per Runtime, before run()).
+  /// Register the PML's AM handlers (once per Runtime, before run() and
+  /// before any other handler, so their ids are the fixed constants
+  /// below in every Runtime).
   static void register_handlers(Runtime& rt);
 
   /// Handler ids the GPU plugin targets directly: completion fins and the
   /// kHostFrags data fragments (shared with the host rendezvous so host
   /// and device endpoints interoperate).
-  static int fin_handler() { return h_fin_; }
-  static int frag_handler() { return h_frag_; }
-  static int rts_handler() { return h_rts_; }
-  static int cts_handler() { return h_cts_; }
+  static constexpr int fin_handler() { return h_fin_; }
+  static constexpr int frag_handler() { return h_frag_; }
+  static constexpr int rts_handler() { return h_rts_; }
+  static constexpr int cts_handler() { return h_cts_; }
 
   // Accessors the GPU plugin uses to find requests from AM handlers.
   SendRequest* find_send(std::uint64_t id);
@@ -367,8 +369,9 @@ class Pml {
   std::list<RecvRequest*> posted_;
   std::list<Unexpected> unexpected_;
 
-  // Handler ids (shared across ranks; set by register_handlers).
-  static int h_eager_, h_rts_, h_cts_, h_frag_, h_fin_;
+  // Handler ids, in register_handlers' registration order.
+  static constexpr int h_eager_ = 0, h_rts_ = 1, h_cts_ = 2, h_frag_ = 3,
+                       h_fin_ = 4;
 
   friend class Process;
 };

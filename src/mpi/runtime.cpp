@@ -1,14 +1,10 @@
 #include "mpi/runtime.h"
 
-#include <exception>
-#include <thread>
-
 #include "check/access_tracker.h"
 #include "mpi/bml.h"
 #include "obs/recorder.h"
 #include "mpi/btl.h"
 #include "mpi/pml.h"
-#include "mpi/sched.h"
 
 namespace gpuddt::mpi {
 
@@ -38,13 +34,9 @@ vt::Time Process::am_send(int dst, int handler,
 bool Process::progress() {
   bool any = false;
   for (;;) {
-    AmMessage m;
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) break;
-      m = std::move(inbox_.front());
-      inbox_.pop_front();
-    }
+    if (inbox_.empty()) break;
+    AmMessage m = std::move(inbox_.front());
+    inbox_.pop_front();
     // A rank cannot react to a message before its bytes have arrived.
     clock().wait_until(m.arrival);
     rt_.handler(m.handler)(*this, m);
@@ -59,7 +51,7 @@ bool Process::progress() {
 }
 
 void Process::progress_blocking() {
-  vt::TaskScheduler* sched = rt_.scheduler();
+  vt::EventEngine* sched = rt_.scheduler();
   if (sched == nullptr)
     throw std::logic_error(
         "Process::progress_blocking called outside Runtime::run");
@@ -67,10 +59,7 @@ void Process::progress_blocking() {
 }
 
 void Process::deliver(AmMessage&& m) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_.push_back(std::move(m));
-  }
+  inbox_.push_back(std::move(m));
   if (auto* sched = rt_.scheduler()) sched->note_message(rank_);
 }
 
@@ -125,18 +114,6 @@ void Runtime::run(const std::function<void(Process&)>& fn) {
   for (int r = 0; r < cfg_.world_size; ++r)
     procs_.push_back(std::make_unique<Process>(*this, r));
 
-  if (cfg_.sched_backend == SchedBackend::kThreads) {
-    run_threads(fn);
-    return;
-  }
-  run_event_loop(fn);
-}
-
-// The default deterministic backend: every rank is a continuation of one
-// event loop. Rank bodies reach the scheduler through the same
-// Process::progress paths as the thread backend; only the suspension
-// mechanism differs (a context switch instead of a condvar park).
-void Runtime::run_event_loop(const std::function<void(Process&)>& fn) {
   vt::EventEngine engine(cfg_.world_size, {cfg_.sim_stack_bytes});
   engine.set_block_describer(
       [this](int r) { return procs_[static_cast<size_t>(r)]->pml().pending_summary(); });
@@ -152,38 +129,6 @@ void Runtime::run_event_loop(const std::function<void(Process&)>& fn) {
   }
   sim_stats_ = engine.stats();
   sched_ = nullptr;
-}
-
-// The reference backend: one OS thread per rank, cooperating through
-// TurnScheduler.
-void Runtime::run_threads(const std::function<void(Process&)>& fn) {
-  TurnScheduler turn(cfg_.world_size);
-  turn.set_block_describer([this](int r) {
-    return procs_[static_cast<size_t>(r)]->pml().pending_summary();
-  });
-  sched_ = &turn;
-
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(cfg_.world_size);
-  threads.reserve(cfg_.world_size);
-  for (int r = 0; r < cfg_.world_size; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        turn.start(r);
-        fn(*procs_[r]);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-      // Leave the rotation even on exception, or the peers would wait for
-      // this rank's turn forever.
-      turn.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
-  sched_ = nullptr;
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 }  // namespace gpuddt::mpi

@@ -7,18 +7,19 @@
 //   * Process  - the per-rank context: virtual clock, GPU HostContext,
 //                inbox of Active Messages, PML instance.
 //
-// By default every rank is a resumable continuation dispatched by one
-// event loop on the calling thread (SchedBackend::kEvent); the reference
-// thread backend (kThreads) gives each rank an OS thread instead. A rank-to-node map
-// decides whether a pair of ranks communicates over the shared-memory BTL
-// or the simulated InfiniBand BTL.
+// Every rank is a resumable continuation dispatched by one event loop
+// (vt::EventEngine) on the thread that calls Runtime::run. A Runtime and
+// everything reachable from it - its Machine, BTLs, plugin, processes
+// and Recorder - is used only by that thread (docs/simulator.md,
+// "Threading contract"). A rank-to-node map decides whether a pair of
+// ranks communicates over the shared-memory BTL or the simulated
+// InfiniBand BTL.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -39,11 +40,9 @@ class Btl;
 class Bml;
 class GpuTransferPlugin;
 
-/// Which engine drives the deterministic cooperative schedule.
-enum class SchedBackend {
-  kThreads,  ///< reference mpi::TurnScheduler: one parked OS thread per rank
-  kEvent,    ///< vt::EventEngine: resumable continuations, one OS thread
-};
+/// No reader: the event engine is the only scheduler. Goes with the next
+/// benchmark change, together with perfbench/bench.cpp's assignment.
+enum class SchedBackend { kEvent };
 
 /// A BTL-level Active Message: the receiver runs the registered handler
 /// for `handler` when it progresses its inbox ([4] in the paper).
@@ -114,21 +113,16 @@ struct RuntimeConfig {
   /// Force the copy-in/out protocol even when IPC would be available.
   bool force_copy_inout = false;
 
-  /// Which scheduler implements the deterministic round-robin rotation
-  /// (vtime/engine.h, mpi/sched.h): ranks take turns, so every touch of
-  /// shared virtual-time state (arenas, timed resources, inboxes) happens
-  /// in a program-defined order and repeat runs are bit-identical. Both
-  /// backends produce byte-identical virtual schedules (the equivalence
-  /// suite pins this); the event backend scales to 1000+ ranks.
+  /// Inert: nothing reads it (see SchedBackend).
   SchedBackend sched_backend = SchedBackend::kEvent;
 
-  /// Usable stack bytes per rank continuation (event backend only). Rank
+  /// Usable stack bytes per rank continuation. Rank
   /// bodies run protocol code on these stacks; the default fits the
   /// deepest existing path (collectives over rendezvous over DEV) with
   /// ample headroom, and a guard page faults on overflow.
   std::size_t sim_stack_bytes = std::size_t{1} << 20;
 
-  /// Inert: nothing reads it. Both schedulers detect deadlock exactly, so
+  /// Inert: nothing reads it. The event engine detects deadlock exactly, so
   /// there is no real-time watchdog left to bound. Kept only because the
   /// wall-clock benchmark (perfbench/bench.cpp) still assigns it; remove
   /// it together with that assignment.
@@ -136,12 +130,13 @@ struct RuntimeConfig {
 
   /// Optional observability sink shared by every rank (counters,
   /// histograms, trace events; see obs/recorder.h). Nullable - the
-  /// runtime is silent when unset. Thread-safe by construction.
+  /// runtime is silent when unset. It serves this Runtime alone while the
+  /// Runtime lives, on the thread that runs it.
   obs::Recorder* recorder = nullptr;
 };
 
-/// Per-rank context. All of a rank's protocol state is mutated only from
-/// its own thread (AM handlers run during that rank's progress calls).
+/// Per-rank context. All of a rank's protocol state is mutated only while
+/// that rank runs (AM handlers run during its own progress calls).
 class Process {
  public:
   Process(Runtime& rt, int rank);
@@ -178,7 +173,7 @@ class Process {
   /// Only valid inside Runtime::run.
   void progress_blocking();
 
-  /// Called by peer threads to enqueue a message.
+  /// Called by a peer rank to enqueue a message.
   void deliver(AmMessage&& m);
 
   /// Node id of another rank.
@@ -191,7 +186,6 @@ class Process {
   sg::HostContext gpu_;
   std::unique_ptr<Pml> pml_;
 
-  std::mutex inbox_mu_;
   std::deque<AmMessage> inbox_;
 };
 
@@ -214,10 +208,9 @@ class Runtime {
   void set_gpu_plugin(std::shared_ptr<GpuTransferPlugin> plugin);
   GpuTransferPlugin* gpu_plugin() { return plugin_.get(); }
 
-  /// SPMD entry: run `fn` once per rank. Under the default event backend
-  /// every rank is a resumable continuation dispatched by one event loop
-  /// on the calling thread; the thread backend spawns one OS thread per
-  /// rank. The lowest-failing-rank exception is rethrown at the end.
+  /// SPMD entry: run `fn` once per rank. Every rank is a resumable
+  /// continuation dispatched by one event loop on the calling thread. The
+  /// lowest-failing-rank exception is rethrown at the end.
   void run(const std::function<void(Process&)>& fn);
 
   Process& process(int rank) { return *procs_.at(rank); }
@@ -230,24 +223,20 @@ class Runtime {
   }
 
   /// The cooperative scheduler; null outside run().
-  vt::TaskScheduler* scheduler() { return sched_; }
+  vt::EventEngine* scheduler() { return sched_; }
 
-  /// Event-loop counters from the last run (all zero after thread-backend
-  /// runs). Deterministic for a fixed program, so
-  /// bench_sim_throughput gates them byte-exactly.
+  /// Event-loop counters from the last run. Deterministic for a fixed
+  /// program, so bench_sim_throughput gates them byte-exactly.
   const vt::EngineStats& sim_stats() const { return sim_stats_; }
 
  private:
-  void run_threads(const std::function<void(Process&)>& fn);
-  void run_event_loop(const std::function<void(Process&)>& fn);
-
   RuntimeConfig cfg_;
   std::unique_ptr<sg::Machine> machine_;
   std::vector<AmHandler> handlers_;
   std::shared_ptr<GpuTransferPlugin> plugin_;
   std::unique_ptr<Bml> bml_;
   std::vector<std::unique_ptr<Process>> procs_;
-  vt::TaskScheduler* sched_ = nullptr;
+  vt::EventEngine* sched_ = nullptr;
   vt::EngineStats sim_stats_;
   bool ran_ = false;
 };

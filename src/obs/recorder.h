@@ -10,6 +10,10 @@
 // The process-global default_recorder() is what the harness attaches to
 // runs that did not bring their own, and what the bench binaries dump
 // with --metrics-out=FILE.
+//
+// Nothing in a Recorder locks: it serves one Runtime at a time, on the
+// thread that drives that Runtime (docs/simulator.md, "Threading
+// contract"). Runtimes on different threads each bring their own.
 #pragma once
 
 #include <string>
@@ -72,6 +76,7 @@ class Recorder {
 };
 
 /// Process-wide recorder used whenever a run does not provide its own.
+/// Like any Recorder it is unlocked: use it from one thread at a time.
 Recorder& default_recorder();
 
 /// Shorthand for guarded recording at instrumentation sites.

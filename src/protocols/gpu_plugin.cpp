@@ -246,7 +246,6 @@ void GpuDatatypePlugin::attach(mpi::Runtime& rt) {
 }
 
 GpuDatatypePlugin::PerRank& GpuDatatypePlugin::per_rank(mpi::Process& p) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = ranks_[p.rank()];
   if (!slot) {
     slot = std::make_unique<PerRank>();
@@ -508,9 +507,9 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   // the unpack pre-enqueued (process_triggered) instead of launched by a
   // FragReady AM, and credits crossing devices as events instead of
   // FragFree AMs - no per-fragment host wakeup on either rank. Driving the
-  // receiver's engine from this thread is safe under the cooperative
-  // scheduler (streams and machine resources are internally locked), and
-  // the triggered entry points never touch the receiver's host clock.
+  // receiver's engine from the sender's turn is safe: ranks run one at a
+  // time on the Runtime's one thread, and the triggered entry points never
+  // touch the receiver's host clock.
   mpi::Process& rp = p.runtime().process(req.env.dst);
   mpi::RecvRequest* rreq = rp.pml().find_recv(cts.recv_id);
   if (rreq == nullptr)

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -57,8 +56,8 @@ namespace gpuddt::proto {
 /// payload volume, and registration-cache behaviour. The transfer and
 /// byte counters are the receiver's; ipc_opens/ipc_reuses count every
 /// handle this rank opened, which includes the sender's opens of the
-/// receiver's memory (PUT mode, kRdmaPackToRemote). Read from the owning
-/// rank's thread, or after run() returns.
+/// receiver's memory (PUT mode, kRdmaPackToRemote). Read while the owning
+/// rank runs, or after run() returns.
 struct TransferStats {
   std::int64_t rdma_pipelined = 0;     // kIpcRdma transfers completed
   std::int64_t rdma_recv_driven = 0;   // contiguous-sender shortcut
@@ -90,8 +89,8 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   void recv_fin(mpi::Process& p, mpi::RecvRequest& req,
                 vt::Time arrival) override;
 
-  /// The per-rank GPU datatype engine (created lazily from that rank's
-  /// thread; also used directly by benchmarks).
+  /// The per-rank GPU datatype engine (created lazily the first time the
+  /// rank needs it; also used directly by benchmarks).
   core::GpuDatatypeEngine& engine(mpi::Process& p);
 
   /// MPI_Pack-style explicit packing: gather `count` elements of `dt`
@@ -181,7 +180,6 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   int h_frag_ready_ = -1;
   int h_frag_free_ = -1;
 
-  std::mutex mu_;
   std::unordered_map<int, std::unique_ptr<PerRank>> ranks_;
 };
 

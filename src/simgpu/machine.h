@@ -2,13 +2,14 @@
 //
 // Machine owns the device arenas, the pointer registry (what address space
 // does a pointer live in?) and the timed resources of every device. It is
-// shared by all simulated MPI ranks of a run.
+// shared by all simulated MPI ranks of a run, and like everything a
+// Runtime owns it is used only by the thread that drives it
+// (docs/simulator.md, "Threading contract").
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -156,22 +157,17 @@ class Machine {
     auto block =
         std::make_unique_for_overwrite<std::byte[]>(bytes == 0 ? 1 : bytes);
     std::byte* p = block.get();
-    std::lock_guard<std::mutex> lock(mu_);
     host_blocks_[p] = HostBlock{std::move(block), bytes, mapped};
     return p;
   }
 
   void host_free(void* p) {
     if (p == nullptr) return;
-    std::size_t bytes = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = host_blocks_.find(static_cast<std::byte*>(p));
-      if (it == host_blocks_.end())
-        throw std::invalid_argument("Machine::host_free: unknown pointer");
-      bytes = it->second.size;
-      host_blocks_.erase(it);
-    }
+    auto it = host_blocks_.find(static_cast<std::byte*>(p));
+    if (it == host_blocks_.end())
+      throw std::invalid_argument("Machine::host_free: unknown pointer");
+    const std::size_t bytes = it->second.size;
+    host_blocks_.erase(it);
     if (observer_) observer_->on_release(p, bytes);
   }
 
@@ -182,7 +178,6 @@ class Machine {
   /// registration never changes timing - only checker visibility.
   void register_host_range(void* p, std::size_t bytes, bool mapped = false) {
     if (p == nullptr || bytes == 0) return;
-    std::lock_guard<std::mutex> lock(mu_);
     host_blocks_[static_cast<std::byte*>(p)] =
         HostBlock{nullptr, bytes, mapped};
   }
@@ -192,23 +187,18 @@ class Machine {
   /// addresses is not compared against this buffer's accesses.
   void unregister_host_range(void* p) {
     if (p == nullptr) return;
-    std::size_t bytes = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = host_blocks_.find(static_cast<std::byte*>(p));
-      if (it == host_blocks_.end())
-        throw std::invalid_argument(
-            "Machine::unregister_host_range: unknown pointer");
-      bytes = it->second.size;
-      host_blocks_.erase(it);
-    }
+    auto it = host_blocks_.find(static_cast<std::byte*>(p));
+    if (it == host_blocks_.end())
+      throw std::invalid_argument(
+          "Machine::unregister_host_range: unknown pointer");
+    const std::size_t bytes = it->second.size;
+    host_blocks_.erase(it);
     if (observer_) observer_->on_release(p, bytes);
   }
 
   /// Base and size of the registered host block containing p, or
   /// {nullptr, 0} for unregistered host memory.
   std::pair<const void*, std::size_t> host_block_span(const void* p) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = host_blocks_.upper_bound(
         const_cast<std::byte*>(static_cast<const std::byte*>(p)));
     if (it != host_blocks_.begin()) {
@@ -226,7 +216,6 @@ class Machine {
     for (const auto& dev : devices_) {
       if (dev->arena().contains(p)) return {MemorySpace::kDevice, dev->id()};
     }
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = host_blocks_.upper_bound(
         const_cast<std::byte*>(static_cast<const std::byte*>(p)));
     if (it != host_blocks_.begin()) {
@@ -273,7 +262,6 @@ class Machine {
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::unique_ptr<AccessObserver> observer_;
-  mutable std::mutex mu_;
   // det-lint: allow(pointer_order) - address-interval lookup, never emitted
   std::map<std::byte*, HostBlock> host_blocks_;
 };

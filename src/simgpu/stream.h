@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <mutex>
 
 #include "vtime/vclock.h"
 
@@ -32,31 +31,26 @@ class Stream {
 
   /// Finish time of the last enqueued operation.
   vt::Time tail() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return tail_;
   }
 
   /// Serialize an operation after the current tail and any dependency:
   /// returns the operation's earliest possible start.
   vt::Time order_after(vt::Time dependency) {
-    std::lock_guard<std::mutex> lock(mu_);
     return std::max(tail_, dependency);
   }
 
   void set_tail(vt::Time t) {
-    std::lock_guard<std::mutex> lock(mu_);
     tail_ = std::max(tail_, t);
   }
 
   void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
     tail_ = 0;
   }
 
  private:
   Device* dev_;
   const char* name_ = nullptr;
-  mutable std::mutex mu_;
   vt::Time tail_ = 0;
 };
 

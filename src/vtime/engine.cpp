@@ -37,7 +37,8 @@
 namespace gpuddt::vt {
 namespace {
 
-// A continuation's lifecycle mirrors TurnScheduler's rank states.
+// A continuation's lifecycle: runnable until it waits on an empty inbox
+// (blocked) or its body returns or throws (finished).
 enum class TaskState { kRunnable, kBlocked, kFinished };
 
 struct Continuation {
@@ -195,8 +196,7 @@ void EventEngine::run(const std::function<void(int)>& body) {
   im.dispatch_loop();
   im.running = false;
 
-  // Mirror mpi::Runtime's thread-mode policy: surface the lowest-id
-  // failing task's exception.
+  // Surface the lowest-id failing task's exception.
   for (auto& c : im.tasks) {
     if (c.error) {
       std::rethrow_exception(c.error);
@@ -205,9 +205,8 @@ void EventEngine::run(const std::function<void(int)>& body) {
 }
 
 // The event loop: repeatedly dispatch the unique next event — the first
-// runnable task after the one that last ran, in cyclic id order (the
-// TurnScheduler rotation). `last` starts at ntasks-1 so the first
-// dispatch is task 0.
+// runnable task after the one that last ran, in cyclic id order. `last`
+// starts at ntasks-1 so the first dispatch is task 0.
 void EventEngine::Impl::dispatch_loop() {
   int last = ntasks - 1;
   for (;;) {
@@ -225,9 +224,8 @@ void EventEngine::Impl::dispatch_loop() {
       return;  // every task finished
     }
     // No task is runnable but some are blocked: exact deadlock. Compose
-    // the report once, then resume each blocked task so it throws
-    // DeadlockError from its wait site (matching TurnScheduler, where
-    // every parked rank thread wakes and throws).
+    // the report once, then resume each blocked task, in id order, so
+    // it throws DeadlockError from its wait site.
     deadlock_report = compose_deadlock_report();
     deadlock = true;
     for (int t = 0; t < ntasks; ++t) {
@@ -324,23 +322,14 @@ void EventEngine::Impl::throw_deadlock() const {
   throw DeadlockError(deadlock_report);
 }
 
+// One line per blocked task with its pending-operation summary from the
+// describer (task ids only when no describer is installed).
 std::string EventEngine::Impl::compose_deadlock_report() const {
-  return vt::compose_deadlock_report(
-      ntasks,
-      [this](int t) {
-        return tasks[static_cast<std::size_t>(t)].state == TaskState::kBlocked;
-      },
-      describer);
-}
-
-std::string compose_deadlock_report(int ntasks,
-                                    const std::function<bool(int)>& is_blocked,
-                                    const BlockDescriber& describer) {
   std::string out =
       "deadlock detected: no rank is runnable and no message can arrive; "
       "blocked ranks:";
   for (int t = 0; t < ntasks; ++t) {
-    if (!is_blocked(t)) {
+    if (tasks[static_cast<std::size_t>(t)].state != TaskState::kBlocked) {
       continue;
     }
     out += "\n  rank " + std::to_string(t);
@@ -369,11 +358,10 @@ void EventEngine::wait_for_message(int task) {
 void EventEngine::yield(int task) {
   Impl& im = *impl_;
   // Stay runnable; suspending hands the rotation to the next runnable
-  // task. If nothing else can run the loop redispatches us immediately,
-  // which is TurnScheduler's "yield with no other runnable returns
-  // without switching" — one extra dispatch, same observable behavior.
+  // task. With no other runnable task a yield returns without switching
+  // (and without counting a dispatch).
   if (im.next_runnable_after(task) == task) {
-    return;  // no other runnable task: true no-op, matching TurnScheduler
+    return;
   }
   ++im.st.yields;
   im.switch_out_of_task(task);

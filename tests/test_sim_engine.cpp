@@ -1,16 +1,16 @@
 // The event-driven simulator core (src/vtime/engine.h, docs/simulator.md):
-// engine-level scheduling semantics, byte-exact equivalence with the
-// legacy thread-per-rank TurnScheduler, deadlock diagnostics from both
-// backends, 1000-rank scale, and the modeled NVLink/fat-tree topology.
+// engine-level scheduling semantics, the threading contract (independent
+// Runtimes on independent threads), deadlock diagnostics, 1000-rank
+// scale, and the modeled NVLink/fat-tree topology.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "mpi/coll.h"
+#include "check/config.h"
 #include "mpi/pml.h"
 #include "mpi/runtime.h"
 #include "obs/canon.h"
@@ -40,8 +40,8 @@ TEST(EventEngine, DispatchesTasksInIdOrder) {
 }
 
 TEST(EventEngine, YieldRotatesRoundRobin) {
-  // Mirrors TurnScheduler::pass_turn_locked: the yielding task becomes
-  // the scan anchor, so peers run before it resumes.
+  // The yielding task becomes the scan anchor, so every peer runs before
+  // it resumes.
   vt::EventEngine eng(3);
   std::vector<int> order;
   eng.run([&](int t) {
@@ -128,114 +128,102 @@ TEST(EventEngine, DeadlockReportNamesEveryBlockedTask) {
   }
 }
 
-// --- Scheduler equivalence: event core vs. legacy thread backend ------------
+// --- Threading contract: independent Runtimes on independent threads -----
 
 struct Capture {
   std::string canon;   // obs::canonical_metrics of the run's dump
   std::string chrome;  // virtual-time chrome trace (docs/tracing.md)
 };
 
-Capture run_captured(mpi::RuntimeConfig cfg, mpi::SchedBackend backend,
-                     const std::function<void(mpi::Process&)>& body,
-                     bool gpu_plugin = false) {
+// A strided device datatype bounced between two ranks (the fig9 shape),
+// then an RMA accumulate into rank 0's window. Every call builds its own
+// datatypes, so concurrent calls also draw type ids from the shared
+// counter.
+void pingpong_and_accumulate(mpi::Process& p) {
+  mpi::Comm comm(p);
+  const auto dt = mpi::Datatype::vector(256, 16, 32, mpi::kByte());
+  const std::int64_t span = test::span_bytes(dt, 4);
+  auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
+  test::fill_pattern(buf, static_cast<std::size_t>(span),
+                     static_cast<std::uint32_t>(p.rank()));
+  for (int it = 0; it < 3; ++it) {
+    if (p.rank() == 0) {
+      comm.send(buf, 4, dt, 1, it);
+      comm.recv(buf, 4, dt, 1, 100 + it);
+    } else {
+      comm.recv(buf, 4, dt, 0, it);
+      comm.send(buf, 4, dt, 0, 100 + it);
+    }
+  }
+  sg::Free(p.gpu(), buf);
+
+  const auto pairs = mpi::Datatype::vector(8, 2, 4, mpi::kInt32());
+  std::vector<std::int32_t> win(32, 1);
+  rma::Window w(comm, win.data(), 32 * 4);
+  w.fence();
+  std::vector<std::int32_t> mine(16, p.rank() + 1);
+  w.accumulate(mine.data(), 16, mpi::kInt32(), 0, 0, 1, pairs,
+               mpi::ReduceOp::kSum);
+  w.fence();
+  if (p.rank() == 0) {
+    EXPECT_EQ(win[0], 4);  // 1 + (0+1) + (1+1)
+    EXPECT_EQ(win[2], 1);  // the vector's gap is untouched
+  }
+}
+
+// One pingpong_and_accumulate run on its own Runtime and Recorder, with
+// the access checker on, so every run reports into the global check sink.
+Capture run_checked_pair() {
   obs::Recorder rec;
   rec.enable_tracing(true);
+  mpi::RuntimeConfig cfg;
+  cfg.world_size = 2;
+  cfg.machine.num_devices = 2;
+  cfg.machine.device_memory_bytes = 64u << 20;
+  cfg.machine.check = 1;
   cfg.recorder = &rec;
-  cfg.sched_backend = backend;
   mpi::Runtime rt(cfg);
-  if (gpu_plugin) rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
-  rt.run(body);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
+  rt.run(pingpong_and_accumulate);
   return {obs::canonical_metrics(obs::json::parse(rec.to_json())),
           rec.to_chrome_json()};
 }
 
-void expect_backends_equivalent(mpi::RuntimeConfig cfg,
-                                const std::function<void(mpi::Process&)>& body,
-                                bool gpu_plugin = false) {
-  const Capture threads =
-      run_captured(cfg, mpi::SchedBackend::kThreads, body, gpu_plugin);
-  const Capture event =
-      run_captured(cfg, mpi::SchedBackend::kEvent, body, gpu_plugin);
-  EXPECT_EQ(threads.canon, event.canon);
-  EXPECT_EQ(threads.chrome, event.chrome);
-  EXPECT_TRUE(contains(threads.canon, "gpuddt-metrics-v1"));
-}
+TEST(Threading, IndependentRuntimesOnTwoThreads) {
+  check::clear_diagnostics();
+  const Capture alone = run_checked_pair();
+  EXPECT_TRUE(contains(alone.canon, "gpuddt-metrics-v1"));
+  const std::int64_t ops_alone = check::ops_tracked();
+  EXPECT_GT(ops_alone, 0);
 
-TEST(SchedulerEquivalence, DevicePingpongMatchesByteForByte) {
-  // The fig9 shape: a strided device datatype bounced between two ranks.
-  mpi::RuntimeConfig cfg;
-  cfg.world_size = 2;
-  cfg.machine.num_devices = 2;
-  cfg.machine.device_memory_bytes = 256u << 20;
-  expect_backends_equivalent(
-      cfg,
-      [](mpi::Process& p) {
-        mpi::Comm comm(p);
-        const auto dt = mpi::Datatype::vector(256, 16, 32, mpi::kByte());
-        const std::int64_t span = test::span_bytes(dt, 4);
-        auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
-        test::fill_pattern(buf, static_cast<std::size_t>(span),
-                           static_cast<std::uint32_t>(p.rank()));
-        for (int it = 0; it < 3; ++it) {
-          if (p.rank() == 0) {
-            comm.send(buf, 4, dt, 1, it);
-            comm.recv(buf, 4, dt, 1, 100 + it);
-          } else {
-            comm.recv(buf, 4, dt, 0, it);
-            comm.send(buf, 4, dt, 0, 100 + it);
-          }
+  std::vector<Capture> got(2);
+  {
+    std::vector<std::jthread> threads;  // joined at the end of this scope
+    for (auto& g : got) {
+      threads.emplace_back([&g] {
+        try {
+          g = run_checked_pair();
+        } catch (const std::exception& e) {
+          g.canon = std::string("threw: ") + e.what();
         }
-      },
-      /*gpu_plugin=*/true);
-}
-
-TEST(SchedulerEquivalence, CollectivesMatchByteForByte) {
-  mpi::RuntimeConfig cfg;
-  cfg.world_size = 8;
-  cfg.machine.num_devices = 1;
-  expect_backends_equivalent(cfg, [](mpi::Process& p) {
-    mpi::Comm comm(p);
-    mpi::Collectives coll(comm);
-    std::vector<std::int32_t> v(64, p.rank());
-    std::vector<std::int32_t> sum(64, 0);
-    coll.allreduce(v.data(), sum.data(), 64, mpi::kInt32(),
-                   mpi::ReduceOp::kSum);
-    EXPECT_EQ(sum[0], 28);  // 0+1+...+7
-    std::vector<std::int32_t> all(64 * 8, 0);
-    coll.allgather(v.data(), all.data(), 64, mpi::kInt32());
-    coll.bcast(v.data(), 64, mpi::kInt32(), 3);
-    EXPECT_EQ(v[0], 3);
-    comm.barrier();
-  });
-}
-
-TEST(SchedulerEquivalence, OnesidedMatchesByteForByte) {
-  mpi::RuntimeConfig cfg;
-  cfg.world_size = 4;
-  cfg.machine.num_devices = 1;
-  expect_backends_equivalent(cfg, [](mpi::Process& p) {
-    mpi::Comm comm(p);
-    std::vector<std::int32_t> win(256, -1);
-    rma::Window w(comm, win.data(), 256 * 4);
-    w.fence();
-    if (p.rank() != 0) {
-      std::vector<std::int32_t> data(16, p.rank());
-      w.put(data.data(), 16, mpi::kInt32(), 0, 64 * p.rank(), 16,
-            mpi::kInt32());
+      });
     }
-    w.fence();
-    if (p.rank() == 0) {
-      for (int r = 1; r < 4; ++r) EXPECT_EQ(win[16 * r], r);
-    }
-  });
+  }
+
+  for (const Capture& g : got) {
+    EXPECT_EQ(g.canon, alone.canon);
+    EXPECT_EQ(g.chrome, alone.chrome);
+  }
+  EXPECT_EQ(check::ops_tracked(), 3 * ops_alone);
+  EXPECT_EQ(check::hazard_count(), 0);
+  EXPECT_EQ(check::violation_count(), 0);
 }
 
 // --- Deadlock diagnostics through the MPI stack -----------------------------
 
-void expect_pml_deadlock_report(mpi::SchedBackend backend) {
+TEST(DeadlockDiagnostics, EventBackendReportsPendingOps) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
-  cfg.sched_backend = backend;
   mpi::Runtime rt(cfg);
   try {
     rt.run([](mpi::Process& p) {
@@ -255,18 +243,9 @@ void expect_pml_deadlock_report(mpi::SchedBackend backend) {
   }
 }
 
-TEST(DeadlockDiagnostics, EventBackendReportsPendingOps) {
-  expect_pml_deadlock_report(mpi::SchedBackend::kEvent);
-}
-
-TEST(DeadlockDiagnostics, ThreadBackendReportsPendingOps) {
-  expect_pml_deadlock_report(mpi::SchedBackend::kThreads);
-}
-
 TEST(DeadlockDiagnostics, WildcardRecvReportsAny) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
-  cfg.sched_backend = mpi::SchedBackend::kEvent;
   mpi::Runtime rt(cfg);
   try {
     rt.run([](mpi::Process& p) {
@@ -293,7 +272,6 @@ mpi::RuntimeConfig scale_config(int ranks) {
   cfg.machine.num_devices = 1;
   cfg.machine.topo.fat_tree_leaf_nodes = 4;
   cfg.machine.topo.fat_tree_uplinks = 2;
-  cfg.sched_backend = mpi::SchedBackend::kEvent;
   cfg.sim_stack_bytes = 256 * 1024;
   return cfg;
 }

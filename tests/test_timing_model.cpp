@@ -4,6 +4,9 @@
 // these fail before the figures drift.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "baselines/alternatives.h"
 #include "baselines/mvapich_plugin.h"
 #include "core/layouts.h"
 #include "harness/harness.h"
@@ -27,6 +30,32 @@ mpi::RuntimeConfig pingpong_cfg() {
 }
 
 constexpr std::int64_t kN = 2048;  // matrix order used throughout
+
+// --- Figure 1: design alternatives for the pack side ------------------------------------
+
+TEST(Fig1Shape, GpuPackKernelIsFastestAlternative) {
+  sg::Machine m(big_machine());
+  sg::HostContext ctx(m, 0);
+  auto dt = core::lower_triangular_type(kN, kN);
+  const std::int64_t total = dt->size();
+  const std::int64_t span = dt->true_extent() + 64;
+  auto* src = static_cast<std::byte*>(sg::Malloc(ctx, span));
+  auto* scratch = static_cast<std::byte*>(
+      sg::HostAlloc(ctx, static_cast<std::size_t>(span), false));
+  auto* hpk = static_cast<std::byte*>(
+      sg::HostAlloc(ctx, static_cast<std::size_t>(total), false));
+  auto* dpk = static_cast<std::byte*>(sg::Malloc(ctx, total));
+  const auto a = base::pack_stage_whole(ctx, dt, 1, src, scratch, hpk);
+  const auto b = base::pack_per_block_d2h(ctx, dt, 1, src, hpk);
+  const auto c = base::pack_per_block_d2d(ctx, dt, 1, src, dpk);
+  core::GpuDatatypeEngine eng(ctx);
+  const auto d = base::pack_gpu_kernel(eng, dt, 1, src, dpk);
+  // (d) the GPU pack kernel beats (a) staging the whole extent, (b)
+  // per-block D2H copies and (c) per-block D2D copies.
+  EXPECT_LT(d.elapsed, a.elapsed);
+  EXPECT_LT(d.elapsed, b.elapsed);
+  EXPECT_LT(d.elapsed, c.elapsed);
+}
 
 // --- Figure 6: kernel bandwidths ------------------------------------------------------
 
@@ -252,6 +281,48 @@ TEST(Fig11Shape, VectorToContiguousBeatsBaseline) {
   spec.plugin = std::make_shared<base::MvapichLikePlugin>();
   const auto theirs = run_pingpong(spec);
   EXPECT_LT(ours.avg_roundtrip, theirs.avg_roundtrip);
+}
+
+// --- Figure 12: matrix transpose --------------------------------------------------------
+
+TEST(Fig12Shape, TransposeBeatsBaselineFiveFold) {
+  const std::int64_t tn = kN / 2;
+  PingPongSpec spec;
+  spec.cfg = pingpong_cfg();
+  spec.dt0 = mpi::Datatype::contiguous(tn * tn, mpi::kDouble());
+  spec.dt1 = core::transpose_type(tn, tn);
+  const auto ours = run_pingpong(spec);
+  spec.plugin = std::make_shared<base::MvapichLikePlugin>();
+  const auto theirs = run_pingpong(spec);
+  EXPECT_GT(theirs.avg_roundtrip, 5 * ours.avg_roundtrip);
+}
+
+// --- Section 5.2 / [14]: GPUDirect RDMA vs host staging -------------------------------------
+
+PingPongResult ib_contiguous_pingpong(bool gpudirect, std::int64_t bytes) {
+  auto cfg = pingpong_cfg();
+  cfg.ranks_per_node = 1;
+  cfg.gpu_eager_limit = 0;  // isolate the rendezvous protocols
+  cfg.gpudirect_rdma = gpudirect;
+  if (gpudirect) cfg.gpudirect_limit_bytes = INT64_MAX;
+  return pingpong_of(mpi::Datatype::contiguous(bytes / 8, mpi::kDouble()),
+                     cfg);
+}
+
+TEST(GpuDirectShape, DirectWinsBelow30KB) {
+  for (const std::int64_t kb : {4, 16}) {
+    EXPECT_LT(ib_contiguous_pingpong(true, kb * 1024).avg_roundtrip,
+              ib_contiguous_pingpong(false, kb * 1024).avg_roundtrip)
+        << kb << " KB";
+  }
+}
+
+TEST(GpuDirectShape, HostStagingWinsForLargeMessages) {
+  for (const std::int64_t kb : {256, 4096}) {
+    EXPECT_LT(ib_contiguous_pingpong(false, kb * 1024).avg_roundtrip,
+              ib_contiguous_pingpong(true, kb * 1024).avg_roundtrip)
+        << kb << " KB";
+  }
 }
 
 // --- Section 5.3: minimal GPU resources -----------------------------------------------------

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI driver: default build + tests, the same tests again with
 # GPUDDT_CHECK=1 (the whole suite must run hazard-clean with the access
-# checker attached to every machine), ASan/UBSan build + tests, a determinism sweep over all
+# checker attached to every machine), ASan/UBSan build + tests, a
+# ThreadSanitizer build running the threading-contract test and the mpi
+# suites, a determinism sweep over all
 # benchmark binaries (docs/determinism.md), the symbolic verifier over
 # its corpus and over every DEV the bench suite caches
 # (docs/verification.md), the simulator scale stage (1024-rank smoke +
@@ -38,6 +40,17 @@ run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGPUDDT_SANITIZE=ON
 run cmake --build build-asan -j "$JOBS"
 run ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+
+# 3b. ThreadSanitizer. Threading.IndependentRuntimesOnTwoThreads is the
+#     one test that starts OS threads: two Runtimes at once, sharing only
+#     the process-global state that keeps its locks (docs/simulator.md
+#     section 4). The mpi suites exercise the event engine's annotated
+#     fiber switches. A TSan report makes the test exit non-zero.
+run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DGPUDDT_SANITIZE=thread
+run cmake --build build-tsan -j "$JOBS" --target gpuddt_tests
+run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+  -R 'Threading\.|MpiHost|RequestApi|Stress|Collectives|CommSplit'
 
 # 4. Chrome-trace export end to end: generate a trace from one pipelined
 #    benchmark and shape-check it (array, monotone ts, non-negative dur,

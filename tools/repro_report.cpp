@@ -73,8 +73,8 @@ void fig6(std::int64_t n) {
   std::printf("| V (vector kernel) | %.1f | %.2f |\n", bv, bv / peak);
   std::printf("| T (indexed kernel) | %.1f | %.2f |\n", bt, bt / peak);
   std::printf("| T-stair (nb=128) | %.1f | %.2f |\n\n", bs, bs / peak);
-  claim("V reaches >= 88%% of memcpy (paper ~94%%)", bv > 0.88 * peak);
-  claim("T loses to occupancy: 70-90%% (paper ~80%%)",
+  claim("V reaches >= 88% of memcpy (paper ~94%)", bv > 0.88 * peak);
+  claim("T loses to occupancy: 70-90% (paper ~80%)",
         bt > 0.70 * peak && bt < 0.90 * peak);
   claim("stair recovers vector bandwidth", bs > 0.95 * bv);
 }
@@ -125,7 +125,7 @@ void fig9(std::int64_t n) {
               rv.bandwidth_gbps() / rc.bandwidth_gbps());
   std::printf("| T | %.2f | %.2f |\n\n", rt_.bandwidth_gbps(),
               rt_.bandwidth_gbps() / rc.bandwidth_gbps());
-  claim("V >= 75%% of contiguous (paper ~90%%)",
+  claim("V >= 75% of contiguous (paper ~90%)",
         rv.bandwidth_gbps() > 0.75 * rc.bandwidth_gbps());
   claim("T <= V <= C ordering",
         rt_.bandwidth_gbps() <= rv.bandwidth_gbps() * 1.02 &&
