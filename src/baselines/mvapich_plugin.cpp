@@ -5,16 +5,7 @@
 
 namespace gpuddt::base {
 
-namespace {
-
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-}  // namespace
+using mpi::make_payload;
 
 struct MvapichLikePlugin::SendState : mpi::PluginState {
   std::byte* host = nullptr;
@@ -101,11 +92,9 @@ void MvapichLikePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
     h.offset = offset;
     h.bytes = n;
     h.last = (offset + n == req.total_bytes) ? 1 : 0;
-    auto payload = make_payload(h, static_cast<std::size_t>(n));
-    if (n > 0)
-      std::memcpy(payload.data() + sizeof(mpi::FragHeader), host + offset,
-                  static_cast<std::size_t>(n));
-    p.am_send(req.env.dst, mpi::Pml::frag_handler(), std::move(payload));
+    p.am_send(req.env.dst, mpi::Pml::frag_handler(),
+              make_payload(h, std::span<const std::byte>(
+                                  host + offset, static_cast<std::size_t>(n))));
     offset += n;
   } while (offset < req.total_bytes);
   if (host != nullptr) sg::HostFree(p.gpu(), host);

@@ -16,15 +16,14 @@ DevCursor::DevCursor(mpi::DatatypePtr dt, std::int64_t count,
     throw std::invalid_argument("DevCursor: unit size below 256B warp floor");
 }
 
-std::size_t DevCursor::next_units(std::span<CudaDevDist> out) {
+std::size_t DevCursor::next_units(std::vector<CudaDevDist>& out,
+                                  std::size_t limit) {
   std::size_t n = 0;
   mpi::Block b;
-  while (n < out.size() && cursor_.next(unit_bytes_, &b)) {
+  while (n < limit && cursor_.next(unit_bytes_, &b)) {
     if (b.offset != last_end_) ++pieces_;  // new contiguous run begins
     last_end_ = b.offset + b.len;
-    out[n].nc_disp = b.offset;
-    out[n].pk_disp = packed_off_;
-    out[n].length = b.len;
+    out.push_back({b.offset, packed_off_, b.len});
     packed_off_ += b.len;
     ++n;
   }
@@ -38,12 +37,7 @@ std::vector<CudaDevDist> convert_all(const mpi::DatatypePtr& dt,
   std::vector<CudaDevDist> units;
   const std::int64_t total = cur.total_bytes();
   if (total > 0) units.reserve(static_cast<std::size_t>(total / unit_bytes + 16));
-  CudaDevDist buf[256];
-  for (;;) {
-    const std::size_t n = cur.next_units(buf);
-    if (n == 0) break;
-    units.insert(units.end(), buf, buf + n);
-  }
+  cur.next_units(units, SIZE_MAX);
   return units;
 }
 

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <vector>
 
 #include "mpi/cursor.h"
 #include "mpi/datatype.h"
@@ -36,8 +36,8 @@ class DevCursor {
   DevCursor() = default;
   DevCursor(mpi::DatatypePtr dt, std::int64_t count, std::int64_t unit_bytes);
 
-  /// Produce up to out.size() units; returns how many were written.
-  std::size_t next_units(std::span<CudaDevDist> out);
+  /// Append up to `limit` more units to `out`; returns how many.
+  std::size_t next_units(std::vector<CudaDevDist>& out, std::size_t limit);
 
   bool done() const { return cursor_.done(); }
   std::int64_t bytes_emitted() const { return packed_off_; }

@@ -197,11 +197,8 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
 
 void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
   const std::size_t old = op.staged_.size();
-  op.staged_.resize(old + limit);
   const std::int64_t pieces_before = op.cursor_.pieces_visited();
-  const std::size_t n = op.cursor_.next_units(
-      std::span<CudaDevDist>(op.staged_.data() + old, limit));
-  op.staged_.resize(old + n);
+  const std::size_t n = op.cursor_.next_units(op.staged_, limit);
   stats_.units_converted += static_cast<std::int64_t>(n);
   obs::count(cfg_.recorder, "engine.units.converted",
              static_cast<std::int64_t>(n));
@@ -445,12 +442,7 @@ void GpuDatatypeEngine::prefetch(const mpi::DatatypePtr& dt,
   std::vector<CudaDevDist> units;
   units.reserve(
       static_cast<std::size_t>(dt->size() * count / cfg_.unit_bytes + 16));
-  CudaDevDist buf[256];
-  for (;;) {
-    const std::size_t n = cur.next_units(buf);
-    if (n == 0) break;
-    units.insert(units.end(), buf, buf + n);
-  }
+  cur.next_units(units, SIZE_MAX);
   const sg::CostModel& cm = ctx_.cost();
   ctx_.clock.advance(static_cast<vt::Time>(
       cm.cpu_dev_emit_ns * static_cast<double>(units.size()) +

@@ -1,7 +1,6 @@
 #include "mpi/pml.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "mpi/btl.h"
@@ -16,22 +15,6 @@ struct EagerHeader {
   Envelope env;
   std::int64_t bytes = 0;
 };
-
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-template <typename H>
-H read_header(const AmMessage& m) {
-  if (m.payload.size() < sizeof(H))
-    throw std::runtime_error("PML: truncated AM payload");
-  H h;
-  std::memcpy(&h, m.payload.data(), sizeof(H));
-  return h;
-}
 
 bool matches(const RecvRequest& req, const Envelope& env) {
   return req.context == env.context &&
@@ -212,10 +195,7 @@ vt::Time Pml::send_packed_eager(const Envelope& env,
                                 std::span<const std::byte> packed,
                                 vt::Time earliest) {
   EagerHeader h{env, static_cast<std::int64_t>(packed.size())};
-  auto payload = make_payload(h, packed.size());
-  std::memcpy(payload.data() + sizeof(EagerHeader), packed.data(),
-              packed.size());
-  return proc_.am_send(env.dst, h_eager_, std::move(payload), earliest);
+  return proc_.am_send(env.dst, h_eager_, make_payload(h, packed), earliest);
 }
 
 void Pml::start_host_rendezvous_send(SendRequest& req) {

@@ -17,10 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "simgpu/runtime.h"
@@ -52,6 +55,39 @@ struct AmMessage {
   vt::Time arrival = 0;  // virtual time the bytes are available
   std::vector<std::byte> payload;
 };
+
+/// An AM payload: the header's bytes followed by `body`, written once.
+template <typename H>
+std::vector<std::byte> make_payload(const H& h,
+                                    std::span<const std::byte> body = {}) {
+  static_assert(std::is_trivially_copyable_v<H>);
+  std::vector<std::byte> v;
+  v.reserve(sizeof(H) + body.size());
+  const auto* head = reinterpret_cast<const std::byte*>(&h);
+  v.insert(v.end(), head, head + sizeof(H));
+  v.insert(v.end(), body.begin(), body.end());
+  return v;
+}
+
+/// An AM payload with room for a `body_bytes` body after the header, for
+/// callers that pack the body in place.
+template <typename H>
+std::vector<std::byte> make_payload(const H& h, std::size_t body_bytes) {
+  static_assert(std::is_trivially_copyable_v<H>);
+  std::vector<std::byte> v(sizeof(H) + body_bytes);
+  std::memcpy(v.data(), &h, sizeof(H));
+  return v;
+}
+
+/// The header at the front of an AM payload.
+template <typename H>
+H read_header(const AmMessage& m) {
+  if (m.payload.size() < sizeof(H))
+    throw std::runtime_error("truncated AM payload");
+  H h;
+  std::memcpy(&h, m.payload.data(), sizeof(H));
+  return h;
+}
 
 using AmHandler = std::function<void(Process&, AmMessage&)>;
 

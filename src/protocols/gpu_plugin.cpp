@@ -1,6 +1,5 @@
 #include "protocols/gpu_plugin.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -37,21 +36,8 @@ struct FragFreeHeader {
   std::int64_t frag_idx = 0;
 };
 
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-template <typename H>
-H read_header(const mpi::AmMessage& m) {
-  if (m.payload.size() < sizeof(H))
-    throw std::runtime_error("gpu plugin: truncated AM payload");
-  H h;
-  std::memcpy(&h, m.payload.data(), sizeof(H));
-  return h;
-}
+using mpi::make_payload;
+using mpi::read_header;
 
 // Receiver-side unpack reads AM payload bytes in place; register the
 // span for the duration of the handler (simgpu/staging.h).
@@ -659,11 +645,11 @@ void GpuDatatypePlugin::pump_host_send(mpi::Process& p,
     h.offset = offset;
     h.bytes = res.bytes;
     h.last = st->op->done() ? 1 : 0;
-    auto payload = make_payload(h, static_cast<std::size_t>(res.bytes));
-    std::memcpy(payload.data() + sizeof(FragHeader), host_slot,
-                static_cast<std::size_t>(res.bytes));
-    st->credit(f) = p.am_send(req.env.dst, mpi::Pml::frag_handler(),
-                              std::move(payload), ready);
+    st->credit(f) = p.am_send(
+        req.env.dst, mpi::Pml::frag_handler(),
+        make_payload(h, std::span<const std::byte>(
+                            host_slot, static_cast<std::size_t>(res.bytes))),
+        ready);
   }
   eng.finish(*st->op);
   sg::HostFree(p.gpu(), st->host_bounce);

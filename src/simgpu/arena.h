@@ -5,9 +5,15 @@
 // lets the simulated kernels and copy engines move bytes with plain memcpy
 // while the pointer registry still distinguishes address spaces.
 //
-// The mapping is committed lazily by the kernel: the arena never touches
-// its memory, so a fresh device costs only the pages its buffers use. A
-// large block is advised for transparent huge pages (docs/architecture.md).
+// The mapping comes from a process-wide pool (namespace `pool` below) and
+// goes back to it when the arena dies, so a figure sweep's next Machine
+// reuses the pages the last one faulted in. The arena never touches its
+// memory, so a mapping costs only the pages its buffers use. The pool
+// bounds what it keeps: before a tenant's allocations reach pages it does
+// not hold yet, the pool releases as many bytes from the unallocated tails
+// of other mappings, live ones included, so pooled resident pages never
+// exceed what live allocations reached. A large block is advised for
+// transparent huge pages (docs/architecture.md).
 #pragma once
 
 #include <sys/mman.h>
@@ -21,6 +27,30 @@
 
 namespace gpuddt::sg {
 
+/// The process-wide pool of device mappings. Process-global state: every
+/// call takes the pool's one lock (docs/simulator.md, "Threading
+/// contract"). The pool is never destroyed, so it outlives every static
+/// Machine.
+namespace pool {
+
+/// The free mapping of exactly `capacity` bytes released first, or a
+/// fresh one. Its contents are unspecified.
+std::byte* acquire(std::size_t capacity);
+/// Gives a mapping back: its tenant's huge-page advice is cleared, and a
+/// mapping holding no pages is unmapped.
+void release(std::byte* base);
+/// The tenant of `base` now allocates up to byte offset `end`. When that
+/// reaches beyond the pages the mapping may hold, first releases the same
+/// number of bytes from other mappings' unallocated tails. Returns the
+/// tenant's new high-water, `end` rounded up to a page.
+std::size_t grow(std::byte* base, std::size_t end);
+/// Bytes of the mapping at `base` that may hold pages (0 when unknown).
+std::size_t resident(const std::byte* base);
+/// `resident` summed over every pooled mapping.
+std::size_t total_resident();
+
+}  // namespace pool
+
 class Arena {
  public:
   /// Allocation alignment; 512 mirrors cudaMalloc's large alignment and
@@ -29,17 +59,15 @@ class Arena {
   /// Transparent huge page size the allocator advises in.
   static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-  explicit Arena(std::size_t capacity) : capacity_(round_up(capacity)) {
-    // Not zeroed on purpose: a fresh cudaMalloc'd buffer has unspecified
-    // contents anyway. mmap's page alignment covers kAlign.
-    void* m = mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (m == MAP_FAILED) throw std::bad_alloc();
-    base_ = static_cast<std::byte*>(m);
+  // Not zeroed on purpose: a fresh cudaMalloc'd buffer has unspecified
+  // contents anyway, and a pooled mapping keeps its last tenant's bytes.
+  // mmap's page alignment covers kAlign.
+  explicit Arena(std::size_t capacity)
+      : capacity_(round_up(capacity)), base_(pool::acquire(capacity_)) {
     free_[base()] = capacity_;
   }
 
-  ~Arena() { munmap(base_, capacity_); }
+  ~Arena() { pool::release(base_); }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -62,6 +90,10 @@ class Arena {
         if (remaining > 0) free_[p + need] = remaining;
         allocated_[p] = need;
         in_use_ += need;
+        // Holes below the high-water already hold pages: only growth past
+        // it goes to the pool (and takes its lock).
+        const auto end = static_cast<std::size_t>(p + need - base_);
+        if (end > hw_) hw_ = pool::grow(base_, end);
         advise_huge(p, need);
         return p;
       }
@@ -137,7 +169,8 @@ class Arena {
   }
 
   std::size_t capacity_;
-  std::byte* base_ = nullptr;
+  std::byte* base_;
+  std::size_t hw_ = 0;  // allocated high-water, page-rounded (pool::grow)
   // Interval maps over this arena's own mapping: relative key order equals
   // offset order within it, and the order is never emitted.
   // det-lint: allow(pointer_order) - arena-internal interval map

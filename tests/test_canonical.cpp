@@ -177,14 +177,12 @@ TEST(Canonical, NeverSlowerThanHandFlattened) {
   auto flat = Datatype::indexed(lens, displs, kDouble());
   core::DevCursor a(v, 1, 1024);
   core::DevCursor b(flat, 1, 1024);
-  CudaDevDist bufa[64];
-  CudaDevDist bufb[64];
   std::vector<CudaDevDist> ua;
   std::vector<CudaDevDist> ub;
-  for (std::size_t n = 0; (n = a.next_units(bufa)) > 0;)
-    ua.insert(ua.end(), bufa, bufa + n);
-  for (std::size_t n = 0; (n = b.next_units(bufb)) > 0;)
-    ub.insert(ub.end(), bufb, bufb + n);
+  while (a.next_units(ua, 64) > 0) {
+  }
+  while (b.next_units(ub, 64) > 0) {
+  }
   EXPECT_EQ(ua, ub);
   EXPECT_EQ(a.pieces_visited(), b.pieces_visited());
 }

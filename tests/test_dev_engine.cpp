@@ -57,11 +57,7 @@ TEST(DevCursor, IncrementalMatchesOneShot) {
   auto whole = convert_all(t, 1, 512);
   DevCursor cur(t, 1, 512);
   std::vector<CudaDevDist> inc;
-  CudaDevDist buf[7];
-  for (;;) {
-    const std::size_t n = cur.next_units(buf);
-    if (n == 0) break;
-    inc.insert(inc.end(), buf, buf + n);
+  while (cur.next_units(inc, 7) > 0) {
   }
   ASSERT_EQ(inc.size(), whole.size());
   for (std::size_t i = 0; i < inc.size(); ++i) {
@@ -840,13 +836,9 @@ TEST(Prefetch, ChargesWalkPerPieceVisited) {
   // units (the convert_chunk path has always charged per piece).
   auto dt = core::lower_triangular_type(512, 512);
   DevCursor ref(dt, 1, 1024);
-  std::size_t units_n = 0;
-  CudaDevDist buf[256];
-  for (;;) {
-    const std::size_t n = ref.next_units(buf);
-    if (n == 0) break;
-    units_n += n;
-  }
+  std::vector<CudaDevDist> units;
+  ref.next_units(units, SIZE_MAX);
+  const std::size_t units_n = units.size();
   const std::int64_t pieces = ref.pieces_visited();
   // Long triangular rows split at the 1KB unit size, so there are more
   // units than pieces - the configuration where the two formulas differ.

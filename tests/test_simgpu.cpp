@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simgpu/arena.h"
@@ -92,11 +97,29 @@ bool huge_page_advised(const void* p) {
   return false;
 }
 
+/// Number of VMAs of /proc/self/maps overlapping [p, p + n).
+int vmas_overlapping(const void* p, std::size_t n) {
+  std::ifstream maps("/proc/self/maps");
+  const auto lo = reinterpret_cast<std::uintptr_t>(p);
+  int count = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    unsigned long a = 0, b = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &a, &b) == 2 && a < lo + n &&
+        b > lo)
+      ++count;
+  }
+  return count;
+}
+
 TEST(Arena, AdvisesHugePagesOnWholeInteriorPagesOnly) {
   if (!thp_available()) GTEST_SKIP() << "transparent huge pages unavailable";
-  Arena a(64 << 20);
-  std::byte* small = a.allocate(640 << 10);  // the arena head
-  std::byte* big = a.allocate(4 << 20);
+  // A capacity no other test uses, so the recycled mapping below is this
+  // arena's own.
+  constexpr std::size_t kCap = (64 << 20) + 3 * Arena::kAlign;
+  auto a = std::make_unique<Arena>(kCap);
+  std::byte* small = a->allocate(640 << 10);  // the arena head
+  std::byte* big = a->allocate(4 << 20);
   const auto hp = static_cast<std::uintptr_t>(Arena::kHugePage);
   const auto lo = (reinterpret_cast<std::uintptr_t>(big) + hp - 1) / hp * hp;
   const auto hi = (reinterpret_cast<std::uintptr_t>(big) + (4 << 20)) / hp * hp;
@@ -108,11 +131,113 @@ TEST(Arena, AdvisesHugePagesOnWholeInteriorPagesOnly) {
   // Partial pages at either end of the block stay on 4 KiB faults.
   EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(lo - 1)));
   EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(hi)));
-  EXPECT_FALSE(huge_page_advised(a.base()));
+  EXPECT_FALSE(huge_page_advised(a->base()));
   EXPECT_FALSE(huge_page_advised(small + (640 << 10) - 1));
-  std::byte* small2 = a.allocate(640 << 10);
+  std::byte* small2 = a->allocate(640 << 10);
   EXPECT_FALSE(huge_page_advised(small2));
   EXPECT_FALSE(huge_page_advised(small2 + (640 << 10) - 1));
+
+  // Recycled: the last tenant's advice does not reach the next tenant's
+  // small buffers, and the mapping is one VMA again.
+  std::byte* base = a->base();
+  a.reset();
+  Arena b(kCap);
+  ASSERT_EQ(b.base(), base);
+  EXPECT_EQ(vmas_overlapping(base, kCap), 1);
+  std::vector<std::byte*> smalls;
+  for (int i = 0; i < 8; ++i) smalls.push_back(b.allocate(640 << 10));
+  ASSERT_GT(smalls.back() + (640 << 10), big + (4 << 20));  // covers `big`
+  for (auto p = lo; p < hi; p += hp) {
+    EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(p)));
+    EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(p + hp - 1)));
+  }
+  // A large block of the new tenant is advised as on a fresh mapping.
+  std::byte* big2 = b.allocate(4 << 20);
+  const auto lo2 = (reinterpret_cast<std::uintptr_t>(big2) + hp - 1) / hp * hp;
+  const auto hi2 =
+      (reinterpret_cast<std::uintptr_t>(big2) + (4 << 20)) / hp * hp;
+  ASSERT_GT(hi2, lo2);
+  for (auto p = lo2; p < hi2; p += hp)
+    EXPECT_TRUE(huge_page_advised(reinterpret_cast<void*>(p)));
+  EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(lo2 - 1)));
+  EXPECT_FALSE(huge_page_advised(reinterpret_cast<void*>(hi2)));
+}
+
+// --- Mapping pool ----------------------------------------------------------------
+
+/// Minor page faults this process has taken so far.
+long minor_faults() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+/// Bytes of [p, p + n) the kernel holds in memory (mincore).
+std::size_t resident_bytes(const std::byte* p, std::size_t n) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> in((n + page - 1) / page);
+  if (mincore(const_cast<std::byte*>(p), n, in.data()) != 0) return n;
+  std::size_t pages = 0;
+  for (unsigned char c : in) pages += c & 1;
+  return pages * page;
+}
+
+TEST(Arena, RecycledMappingKeepsBaseAndPages) {
+  constexpr std::size_t kCap = (40 << 20) + 7 * Arena::kAlign;  // unshared
+  constexpr std::size_t kTouch = 8 << 20;
+  std::byte* base = nullptr;
+  long fresh = 0;
+  {
+    Arena a(kCap);
+    base = a.base();
+    std::byte* p = a.allocate(kTouch);
+    const long f0 = minor_faults();
+    std::memset(p, 1, kTouch);
+    fresh = minor_faults() - f0;
+  }
+  EXPECT_GE(pool::resident(base), kTouch);
+  Arena b(kCap);
+  ASSERT_EQ(b.base(), base);
+  std::byte* p = b.allocate(kTouch);
+  ASSERT_EQ(p, base);
+  const long f0 = minor_faults();
+  std::memset(p, 2, kTouch);
+  const long recycled = minor_faults() - f0;
+  // Fresh pages take at least one fault per 2 MiB; recycled ones none.
+  EXPECT_GE(fresh, 4);
+  EXPECT_LE(recycled, 1);
+}
+
+TEST(Arena, GrowthTakesItsPagesFromIdleTails) {
+  constexpr std::size_t kCapA = (48 << 20) + 11 * Arena::kAlign;  // unshared
+  constexpr std::size_t kCapB = (24 << 20) + 13 * Arena::kAlign;
+  constexpr std::size_t kTouch = 16 << 20;
+  auto first = std::make_unique<Arena>(kCapA);
+  std::memset(first->allocate(kTouch), 1, kTouch);
+  first.reset();
+  // The next tenant is live but has allocated nothing: all 16 MiB of its
+  // mapping are an idle tail.
+  Arena live(kCapA);
+  EXPECT_GE(pool::resident(live.base()), kTouch);
+  const std::size_t before = pool::total_resident();
+
+  Arena grower(kCapB);
+  std::memset(grower.allocate(8 << 20), 2, 8 << 20);
+  EXPECT_EQ(pool::resident(grower.base()), std::size_t{8} << 20);
+  EXPECT_LE(pool::total_resident(), before);
+  // The pool's figure bounds what the kernel holds: released tails are
+  // really dropped, including the live tenant's.
+  EXPECT_LE(resident_bytes(live.base(), live.capacity()),
+            pool::resident(live.base()));
+  EXPECT_LE(resident_bytes(grower.base(), grower.capacity()),
+            pool::resident(grower.base()));
+
+  // Allocations into holes below the high-water need no new pages.
+  std::byte* q = live.allocate(4 << 20);
+  const std::size_t live_resident = pool::resident(live.base());
+  live.deallocate(q);
+  std::memset(live.allocate(2 << 20), 3, 2 << 20);
+  EXPECT_EQ(pool::resident(live.base()), live_resident);
 }
 
 TEST(Arena, AllocationSpanResolvesInteriorPointers) {
@@ -453,6 +578,55 @@ TEST(Memcpy3D, ChargesPerSliceTime) {
            4);
   // Four D2H slices of 64KB each: at least the PCI-E time of 256KB.
   EXPECT_GT(ctx.clock.now() - t0, vt::transfer_time(256 << 10, 11.0));
+}
+
+// --- Threading: the mapping pool is process-global ------------------------------
+
+TEST(Threading, PoolSharedByTwoThreads) {
+  // Equal capacities, so the two threads' Machines trade each other's
+  // freed mappings.
+  const MachineConfig cfg =
+      test::machine_config(2, (32 << 20) + 5 * Arena::kAlign);
+  std::vector<std::string> errors(2);
+  {
+    std::vector<std::jthread> threads;  // joined at the end of this scope
+    for (int t = 0; t < 2; ++t) {
+      std::string& err = errors[static_cast<std::size_t>(t)];
+      threads.emplace_back([&cfg, &err, t] {
+        try {
+          for (int it = 0; it < 16; ++it) {
+            Machine m(cfg);
+            std::vector<std::pair<std::byte*, std::size_t>> bufs;
+            for (int d = 0; d < 2; ++d) {
+              HostContext ctx(m, d);
+              for (int k = 0; k < 3; ++k) {
+                const auto n = static_cast<std::size_t>(1 + (it + k + t) % 5)
+                               << 19;
+                auto* p = static_cast<std::byte*>(Malloc(ctx, n));
+                test::fill_pattern(p, n,
+                                   static_cast<std::uint32_t>(t * 100 + k));
+                bufs.push_back({p, n});
+              }
+            }
+            std::size_t i = 0;
+            for (int d = 0; d < 2; ++d) {
+              for (int k = 0; k < 3; ++k, ++i) {
+                std::vector<std::byte> want(bufs[i].second);
+                test::fill_pattern(want.data(), want.size(),
+                                   static_cast<std::uint32_t>(t * 100 + k));
+                if (std::memcmp(bufs[i].first, want.data(), want.size()) != 0)
+                  err = "buffer changed under its owner";
+              }
+            }
+          }
+        } catch (const std::exception& e) {
+          err = std::string("threw: ") + e.what();
+        }
+      });
+    }
+  }
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
 }
 
 }  // namespace

@@ -41,11 +41,12 @@ run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 run cmake --build build-asan -j "$JOBS"
 run ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-# 3b. ThreadSanitizer. Threading.IndependentRuntimesOnTwoThreads is the
-#     one test that starts OS threads: two Runtimes at once, sharing only
-#     the process-global state that keeps its locks (docs/simulator.md
-#     section 4). The mpi suites exercise the event engine's annotated
-#     fiber switches. A TSan report makes the test exit non-zero.
+# 3b. ThreadSanitizer. The Threading.* tests are the ones that start OS
+#     threads: two Runtimes at once, and two threads trading pooled device
+#     mappings, sharing only the process-global state that keeps its locks
+#     (docs/simulator.md section 4). The mpi suites exercise the event
+#     engine's annotated fiber switches. A TSan report makes the test exit
+#     non-zero.
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGPUDDT_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS" --target gpuddt_tests
