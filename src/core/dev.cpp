@@ -1,5 +1,6 @@
 #include "core/dev.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gpuddt::core {
@@ -19,13 +20,29 @@ DevCursor::DevCursor(mpi::DatatypePtr dt, std::int64_t count,
 std::size_t DevCursor::next_units(std::vector<CudaDevDist>& out,
                                   std::size_t limit) {
   std::size_t n = 0;
-  mpi::Block b;
-  while (n < limit && cursor_.next(unit_bytes_, &b)) {
-    if (b.offset != last_end_) ++pieces_;  // new contiguous run begins
-    last_end_ = b.offset + b.len;
-    out.push_back({b.offset, packed_off_, b.len});
-    packed_off_ += b.len;
-    ++n;
+  // Each block of at most unit_bytes_ is one unit, so a strided run of
+  // them is emitted in one go; longer blocks come split, one unit per
+  // call. A unit that does not continue the previous one's source bytes
+  // begins a new contiguous piece.
+  const auto emit = [&](std::int64_t off, std::int64_t len,
+                        std::int64_t stride, std::int64_t k) {
+    if (off != last_end_) ++pieces_;
+    if (stride != len) pieces_ += k - 1;
+    last_end_ = off + (k - 1) * stride + len;
+    n += static_cast<std::size_t>(k);
+    std::int64_t pk = packed_off_;
+    for (; k > 0; --k) {
+      out.push_back({off, pk, len});
+      off += stride;
+      pk += len;
+    }
+    packed_off_ = pk;
+  };
+  while (n < limit &&
+         cursor_.take_pieces(unit_bytes_,
+                             static_cast<std::int64_t>(std::min<std::size_t>(
+                                 limit - n, INT64_MAX)),
+                             emit)) {
   }
   return n;
 }

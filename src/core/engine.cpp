@@ -63,10 +63,6 @@ std::unique_ptr<GpuDatatypeEngine::Op> GpuDatatypeEngine::start(
       return op;
     }
     op->fill_cache_ = true;
-    if (op->total_ > 0) {
-      op->accum_.reserve(
-          static_cast<std::size_t>(op->total_ / cfg_.unit_bytes + 16));
-    }
   }
   obs::count(cfg_.recorder, "engine.ops.dev");
   op->cursor_ = DevCursor(op->dt_, count, cfg_.unit_bytes);
@@ -196,7 +192,6 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
 }
 
 void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
-  const std::size_t old = op.staged_.size();
   const std::int64_t pieces_before = op.cursor_.pieces_visited();
   const std::size_t n = op.cursor_.next_units(op.staged_, limit);
   stats_.units_converted += static_cast<std::int64_t>(n);
@@ -218,9 +213,6 @@ void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
   obs::trace(cfg_.recorder,
              {"convert_chunk", "engine", t0, t0 + adv, ctx_.device,
               static_cast<std::int64_t>(n), cfg_.trace_pid, op.flow_});
-  if (op.fill_cache_)
-    op.accum_.insert(op.accum_.end(), op.staged_.begin() + old,
-                     op.staged_.end());
 }
 
 const CudaDevDist* GpuDatatypeEngine::upload_descriptors(
@@ -279,21 +271,31 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       if (cached || batched) break;  // exhausted (coincides with op.done())
       // Refill the staging window: one pipelined chunk, or everything
       // when conversion pipelining is disabled (Figure 7's plain mode).
-      op.staged_.clear();
-      op.unit_pos_ = 0;
+      if (!op.fill_cache_) {
+        op.staged_.clear();
+        op.unit_pos_ = 0;
+      }
+      const std::int64_t left = op.total_ - op.pos_ - bytes;
       const std::size_t chunk =
           cfg_.pipeline_conversion
               ? cfg_.convert_chunk_units
-              : static_cast<std::size_t>((op.total_ - op.pos_ - bytes) /
-                                             cfg_.unit_bytes +
-                                         2);
+              : static_cast<std::size_t>(left / cfg_.unit_bytes + 2);
+      // Room for the chunk up front; the op cannot yield more units than
+      // one per block plus one per unit_bytes of what is left.
+      const std::size_t want =
+          op.staged_.size() +
+          std::min(chunk, static_cast<std::size_t>(
+                              op.count_ * op.dt_->blocks_per_element() +
+                              left / cfg_.unit_bytes + 1));
+      if (want > op.staged_.capacity())
+        op.staged_.reserve(std::max(want, 2 * op.staged_.capacity()));
       convert_chunk(op, chunk);
-      if (op.staged_.empty()) break;
-      units = &op.staged_;
+      if (op.unit_pos_ == op.staged_.size()) break;
     }
-    // Trim a window of units to the remaining budget.
-    op.ws_.clear();
+    // A window of units within the remaining budget; its end units may be
+    // entered or left part-way.
     const std::size_t first = op.unit_pos_;
+    const std::int64_t first_off = op.unit_off_;
     const std::int64_t win_pk = pk_base + bytes;
     std::int64_t distinct = 0;
     while (op.unit_pos_ < units->size() && bytes < budget) {
@@ -301,8 +303,6 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       if (op.unit_off_ == 0) ++distinct;  // first touch of this unit
       const std::int64_t avail = u.length - op.unit_off_;
       const std::int64_t take = std::min(avail, budget - bytes);
-      op.ws_.push_back(CudaDevDist{u.nc_disp + op.unit_off_,
-                                   u.pk_disp + op.unit_off_, take});
       bytes += take;
       op.unit_off_ += take;
       if (op.unit_off_ == u.length) {
@@ -310,21 +310,34 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
         ++op.unit_pos_;
       }
     }
-    if (op.ws_.empty()) break;
+    std::span<const CudaDevDist> win(
+        units->data() + first,
+        op.unit_pos_ - first + (op.unit_off_ > 0 ? 1 : 0));
+    if (win.empty()) break;
+    if (first_off > 0 || op.unit_off_ > 0) {
+      // Trim the end units into ws_; whole units are launched in place.
+      op.ws_.assign(win.begin(), win.end());
+      CudaDevDist& lo = op.ws_.front();
+      if (op.unit_off_ > 0) op.ws_.back().length = op.unit_off_;
+      lo.nc_disp += first_off;
+      lo.pk_disp += first_off;
+      lo.length -= first_off;
+      win = op.ws_;
+    }
     // Units served from the cache are counted per window, inside the
     // loop: a small per-call budget walks this loop many times, and each
-    // window's ws_ replaces the previous one. The companion _distinct
+    // window replaces the previous one. The companion _distinct
     // counter ignores re-touches of a unit split across windows.
     if (cached) {
-      stats_.units_from_cache += static_cast<std::int64_t>(op.ws_.size());
+      stats_.units_from_cache += static_cast<std::int64_t>(win.size());
       obs::count(cfg_.recorder, "engine.units.from_cache",
-                 static_cast<std::int64_t>(op.ws_.size()));
+                 static_cast<std::int64_t>(win.size()));
       stats_.units_from_cache_distinct += distinct;
       obs::count(cfg_.recorder, "engine.units.from_cache_distinct",
                  distinct);
     }
     if (validate_ && op.count_ > 0) {
-      check::validate_dev_window(op.ws_,
+      check::validate_dev_window(win,
                                  bounds_of(*op.dt_, op.count_,
                                            cfg_.unit_bytes),
                                  win_pk, /*contiguous=*/true,
@@ -334,8 +347,8 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       const CudaDevDist* dev_units =
           cached     ? op.cached_dev_ + first
           : batched  ? static_cast<const CudaDevDist*>(op.batch_dev_) + first
-                     : upload_descriptors(op, op.ws_);
-      const vt::Time r = launch(op, op.ws_, pk_base, contig, dev_units,
+                     : upload_descriptors(op, win);
+      const vt::Time r = launch(op, win, pk_base, contig, dev_units,
                                 kernel_stream_, trig);
       if (!cached && !batched) {
         op.desc_last_use_[op.desc_slot_] =
@@ -356,11 +369,11 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       // extra cost of this ablation variant.
       auto& split = op.split_;
       split.clear();
-      split.reserve(op.ws_.size());
-      for (const auto& u : op.ws_)
+      split.reserve(win.size());
+      for (const auto& u : win)
         if (u.length == cfg_.unit_bytes) split.push_back(u);
       const std::size_t n_full = split.size();
-      for (const auto& u : op.ws_)
+      for (const auto& u : win)
         if (u.length != cfg_.unit_bytes) split.push_back(u);
       if (validate_ && op.count_ > 0) {
         check::validate_dev_window(split,
@@ -425,7 +438,7 @@ void GpuDatatypeEngine::finish(Op& op) {
   if (op.fill_cache_ && op.done() && cfg_.cache_enabled &&
       !op.pattern_.has_value()) {
     cache_.insert(ctx_, op.dt_, op.count_, cfg_.unit_bytes,
-                  std::move(op.accum_));
+                  std::move(op.staged_));
     op.fill_cache_ = false;
   }
 }

@@ -128,8 +128,10 @@ class GpuDatatypeEngine {
     std::int64_t unit_off_ = 0;  // bytes of the current unit already done
     // Live-conversion state.
     DevCursor cursor_;
-    std::vector<CudaDevDist> staged_;   // converted, not yet consumed
-    std::vector<CudaDevDist> accum_;    // full list for cache fill
+    // Converted units. Consumed windows are dropped at each refill,
+    // except while filling the cache: then staged_ keeps the whole list,
+    // which finish() moves into the cache.
+    std::vector<CudaDevDist> staged_;
     bool fill_cache_ = false;
     // Device scratch for descriptor uploads, double-buffered: while the
     // kernel reading slot k is still in flight, the next window uploads
@@ -139,7 +141,7 @@ class GpuDatatypeEngine {
     std::size_t desc_cap_units_[2] = {0, 0};
     vt::Time desc_last_use_[2] = {0, 0};  // last kernel finish per slot
     int desc_slot_ = 0;                   // slot the latest upload used
-    std::vector<CudaDevDist> ws_;       // per-launch trimmed window
+    std::vector<CudaDevDist> ws_;       // window with trimmed end units
     std::vector<CudaDevDist> split_;    // residue-stream split (full first)
     // Batch-submission state (stage_all): the full unit list converted and
     // uploaded up-front into one device array, so later process_triggered

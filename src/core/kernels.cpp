@@ -1,5 +1,6 @@
 #include "core/kernels.h"
 
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -60,8 +61,7 @@ struct RangeBuilder {
     ranges.push_back({b, len, write});
   }
 
-  std::span<const sg::MemRange> finish(const CudaDevDist* device_units,
-                                       std::size_t n_units) {
+  void finish(const CudaDevDist* device_units, std::size_t n_units) {
     if (spanning) {
       if (src_lo != nullptr)
         ranges.push_back({src_lo, src_hi - src_lo, false});
@@ -72,7 +72,6 @@ struct RangeBuilder {
           {device_units,
            static_cast<std::int64_t>(n_units * sizeof(CudaDevDist)), false});
     }
-    return ranges;
   }
 };
 
@@ -91,86 +90,129 @@ Side classify(const sg::HostContext& ctx, const sg::Stream& stream,
   return Side::kMappedHost;
 }
 
-/// Accumulates the timing profile of a gather/scatter kernel.
-struct Traffic {
-  const sg::HostContext* ctx;
-  const sg::Stream* stream;
-  const std::byte* src_base;
-  const std::byte* dst_base;
-  const sg::CostModel* cm;
-  bool classified = false;
-  Side src_side = Side::kLocalDevice;
-  Side dst_side = Side::kLocalDevice;
-  sg::KernelProfile prof;
+/// Bytes of the transaction lines that [off, off + len) touches (len > 0).
+/// `shift` is log2(mem_txn_bytes), or -1 when that is not a power of two.
+inline std::int64_t line_bytes(const sg::CostModel& cm, int shift,
+                               std::int64_t off, std::int64_t len) {
+  if (shift < 0) return cm.txn_lines(off, len) * cm.mem_txn_bytes;
+  return (((off + len - 1) >> shift) - (off >> shift) + 1) << shift;
+}
 
-  Traffic(const sg::HostContext& ctx, const sg::Stream& stream,
-          const void* src_base, const void* dst_base, int blocks)
-      : ctx(&ctx),
-        stream(&stream),
-        src_base(static_cast<const std::byte*>(src_base)),
-        dst_base(static_cast<const std::byte*>(dst_base)),
-        cm(&ctx.cost()) {
-    prof.blocks = blocks;
+/// One emulated gather/scatter kernel. Its body is a single walk over the
+/// pieces that does all three per-piece jobs: the memcpy, the
+/// KernelProfile traffic, and (with an observer attached) the checker
+/// ranges. sg::LaunchKernel reads the profile and the ranges only after
+/// the body has run. DEV kernels pass their device-resident descriptor
+/// array, whose reads are charged too.
+class Kernel {
+ public:
+  Kernel(sg::HostContext& ctx, sg::Stream& stream, const void* src, void* dst,
+         int blocks, const CudaDevDist* device_units = nullptr,
+         std::size_t n_units = 0)
+      : ctx_(&ctx),
+        stream_(&stream),
+        src_(static_cast<const std::byte*>(src)),
+        dst_(static_cast<std::byte*>(dst)),
+        // Line counting by shifts (>> on a signed offset floors) whenever
+        // the transaction size is a power of two.
+        txn_shift_(std::has_single_bit(static_cast<std::uint64_t>(
+                       ctx.cost().mem_txn_bytes))
+                       ? std::countr_zero(static_cast<std::uint64_t>(
+                             ctx.cost().mem_txn_bytes))
+                       : -1),
+        device_units_(device_units),
+        n_units_(n_units) {
+    prof_.blocks = blocks;
+    if (n_units > 0)
+      prof_.device_txn_bytes += line_bytes(
+          ctx.cost(), txn_shift_, 0,
+          static_cast<std::int64_t>(n_units * sizeof(CudaDevDist)));
   }
 
-  void add(std::int64_t src_off, std::int64_t dst_off, std::int64_t len) {
-    if (!classified) classify_sides(src_off, dst_off);
-    add_side(src_side, src_off, len);
-    add_side(dst_side, dst_off, len);
-    prof.warp_rounds += (len + 255) / 256;
-  }
-
-  /// Charge descriptor-array reads (the kernel streams the CudaDevDist
-  /// array from device memory).
-  void add_descriptor_reads(std::int64_t n_units) {
-    prof.device_txn_bytes +=
-        ((n_units * static_cast<std::int64_t>(sizeof(CudaDevDist))) +
-         cm->mem_txn_bytes - 1) /
-        cm->mem_txn_bytes * cm->mem_txn_bytes;
+  /// Launch with `walk(piece)` as the body: the walk calls
+  /// piece(src_off, dst_off, len) once per piece, in kernel order.
+  template <class Walk>
+  vt::Time launch(const char* label, const Walk& walk,
+                  const vt::Time* triggered_at) {
+    // Two captures fit std::function's inline storage: no allocation.
+    return sg::LaunchKernel(*ctx_, *stream_, prof_,
+                            [this, &walk] { run(walk); }, label,
+                            ranges_.ranges, triggered_at);
   }
 
  private:
-  // Each side is classified by the first byte the kernel touches there,
-  // not by its base: a layout's base lies below its first typed byte
-  // (true_lb > 0) and may fall outside the allocation.
-  void classify_sides(std::int64_t src_off, std::int64_t dst_off) {
-    classified = true;
-    src_side = classify(*ctx, *stream, src_base + src_off);
-    dst_side = classify(*ctx, *stream, dst_base + dst_off);
-    if (src_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kFromHost;
-    if (dst_side == Side::kMappedHost) prof.pcie_dir = sg::PcieDir::kToHost;
+  template <class Walk>
+  void run(const Walk& walk) {
+    // Work in locals: members would be reloaded around every memcpy.
+    const bool observed = ctx_->machine->observer() != nullptr;
+    const std::byte* const src = src_;
+    std::byte* const dst = dst_;
+    const sg::CostModel& cm = ctx_->cost();
+    const int shift = txn_shift_;
+    std::int64_t txn = 0, pcie = 0, rounds = 0;
+    bool first = true;
+    Side src_side = Side::kLocalDevice, dst_side = Side::kLocalDevice;
+    const auto charge = [&](Side side, std::int64_t off, std::int64_t len) {
+      if (side == Side::kLocalDevice)
+        txn += line_bytes(cm, shift, off, len);
+      else
+        pcie += len;  // peer device or mapped host
+    };
+    walk([&](std::int64_t s, std::int64_t d, std::int64_t len) {
+      // Each side is classified by the first byte the kernel touches
+      // there, not by its base: a layout's base lies below its first
+      // typed byte (true_lb > 0) and may fall outside the allocation.
+      if (first) {
+        first = false;
+        src_side = classify(*ctx_, *stream_, src + s);
+        dst_side = classify(*ctx_, *stream_, dst + d);
+      }
+      if (len <= 0) return;
+      std::memcpy(dst + d, src + s, static_cast<std::size_t>(len));
+      charge(src_side, s, len);
+      charge(dst_side, d, len);
+      rounds += (len + 255) >> 8;
+      if (observed) ranges_.add(src + s, dst + d, len);
+    });
+    if (observed) ranges_.finish(device_units_, n_units_);
+    prof_.device_txn_bytes += txn;
+    prof_.pcie_bytes += pcie;
+    prof_.warp_rounds += rounds;
+    if (src_side == Side::kMappedHost) prof_.pcie_dir = sg::PcieDir::kFromHost;
+    if (dst_side == Side::kMappedHost) prof_.pcie_dir = sg::PcieDir::kToHost;
     if (src_side == Side::kPeerDevice || dst_side == Side::kPeerDevice)
-      prof.pcie_dir = sg::PcieDir::kPeer;
+      prof_.pcie_dir = sg::PcieDir::kPeer;
   }
 
-  void add_side(Side side, std::int64_t off, std::int64_t len) {
-    switch (side) {
-      case Side::kLocalDevice:
-        prof.device_txn_bytes += cm->txn_lines(off, len) * cm->mem_txn_bytes;
-        break;
-      case Side::kPeerDevice:
-      case Side::kMappedHost:
-        prof.pcie_bytes += len;
-        break;
-    }
-  }
+  sg::HostContext* ctx_;
+  sg::Stream* stream_;
+  const std::byte* src_;
+  std::byte* dst_;
+  int txn_shift_;
+  const CudaDevDist* device_units_;
+  std::size_t n_units_;
+  sg::KernelProfile prof_;
+  RangeBuilder ranges_;
 };
 
 /// Iterate the (src_off, dst_off, len) pieces of a packed-range vector
 /// operation. `fn(src_off, pk_off, len)` with pk_off relative to pk_lo.
+/// One division places pk_lo; each later block starts at offset 0.
 template <typename Fn>
 void for_vector_range(const mpi::RegularPattern& pat, std::int64_t pk_lo,
                       std::int64_t pk_hi, Fn&& fn) {
   if (pat.blocklen <= 0) return;
-  std::int64_t pk = pk_lo;
-  while (pk < pk_hi) {
-    const std::int64_t blk = pk / pat.blocklen;
-    if (blk >= pat.count) break;
-    const std::int64_t intra = pk - blk * pat.blocklen;
-    const std::int64_t take =
-        std::min(pat.blocklen - intra, pk_hi - pk);
-    fn(pat.first_disp + blk * pat.stride + intra, pk - pk_lo, take);
+  const std::int64_t end = std::min(pk_hi, pat.count * pat.blocklen);
+  if (pk_lo >= end) return;
+  const std::int64_t blk = pk_lo / pat.blocklen;
+  std::int64_t intra = pk_lo - blk * pat.blocklen;
+  std::int64_t off = pat.first_disp + blk * pat.stride + intra;
+  for (std::int64_t pk = pk_lo; pk < end;) {
+    const std::int64_t take = std::min(pat.blocklen - intra, end - pk);
+    fn(off, pk - pk_lo, take);
     pk += take;
+    off += pat.stride - intra;
+    intra = 0;
   }
 }
 
@@ -181,31 +223,15 @@ vt::Time pack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
                             const mpi::RegularPattern& pat, std::int64_t pk_lo,
                             std::int64_t pk_hi, void* dst, int blocks,
                             const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src_base, dst, blocks);
-  for_vector_range(pat, pk_lo, pk_hi,
-                   [&](std::int64_t s, std::int64_t d, std::int64_t len) {
-                     t.add(s, d, len);
-                   });
-  const auto* sb = static_cast<const std::byte*>(src_base);
-  auto* db = static_cast<std::byte*>(dst);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for_vector_range(pat, pk_lo, pk_hi,
-                     [&](std::int64_t s, std::int64_t d, std::int64_t len) {
-                       rb.add(sb + s, db + d, len);
-                     });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for_vector_range(pat, pk_lo, pk_hi,
-                         [&](std::int64_t s, std::int64_t d,
-                             std::int64_t len) {
-                           std::memcpy(db + d, sb + s,
-                                       static_cast<std::size_t>(len));
-                         });
-      },
-      "pack_vector", rb.finish(nullptr, 0), triggered_at);
+  return Kernel(ctx, stream, src_base, dst, blocks)
+      .launch(
+          "pack_vector",
+          [&](const auto& piece) {
+            for_vector_range(pat, pk_lo, pk_hi,
+                             [&](std::int64_t s, std::int64_t d,
+                                 std::int64_t len) { piece(s, d, len); });
+          },
+          triggered_at);
 }
 
 vt::Time unpack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
@@ -213,31 +239,15 @@ vt::Time unpack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
                               std::int64_t pk_lo, std::int64_t pk_hi,
                               const void* src, int blocks,
                               const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src, dst_base, blocks);
-  for_vector_range(pat, pk_lo, pk_hi,
-                   [&](std::int64_t d, std::int64_t s, std::int64_t len) {
-                     t.add(s, d, len);
-                   });
-  auto* db = static_cast<std::byte*>(dst_base);
-  const auto* sb = static_cast<const std::byte*>(src);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for_vector_range(pat, pk_lo, pk_hi,
-                     [&](std::int64_t d, std::int64_t s, std::int64_t len) {
-                       rb.add(sb + s, db + d, len);
-                     });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for_vector_range(pat, pk_lo, pk_hi,
-                         [&](std::int64_t d, std::int64_t s,
-                             std::int64_t len) {
-                           std::memcpy(db + d, sb + s,
-                                       static_cast<std::size_t>(len));
-                         });
-      },
-      "unpack_vector", rb.finish(nullptr, 0), triggered_at);
+  return Kernel(ctx, stream, src, dst_base, blocks)
+      .launch(
+          "unpack_vector",
+          [&](const auto& piece) {
+            for_vector_range(pat, pk_lo, pk_hi,
+                             [&](std::int64_t d, std::int64_t s,
+                                 std::int64_t len) { piece(s, d, len); });
+          },
+          triggered_at);
 }
 
 vt::Time pack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
@@ -246,25 +256,15 @@ vt::Time pack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
                          std::int64_t pk_base, void* dst,
                          const CudaDevDist* device_units, int blocks,
                          const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src_base, dst, blocks);
-  for (const auto& u : units) t.add(u.nc_disp, u.pk_disp - pk_base, u.length);
-  t.add_descriptor_reads(static_cast<std::int64_t>(units.size()));
-  const auto* sb = static_cast<const std::byte*>(src_base);
-  auto* db = static_cast<std::byte*>(dst);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for (const auto& u : units)
-      rb.add(sb + u.nc_disp, db + (u.pk_disp - pk_base), u.length);
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for (const auto& u : units) {
-          std::memcpy(db + (u.pk_disp - pk_base), sb + u.nc_disp,
-                      static_cast<std::size_t>(u.length));
-        }
-      },
-      "pack_dev", rb.finish(device_units, units.size()), triggered_at);
+  return Kernel(ctx, stream, src_base, dst, blocks, device_units,
+                units.size())
+      .launch(
+          "pack_dev",
+          [&](const auto& piece) {
+            for (const auto& u : units)
+              piece(u.nc_disp, u.pk_disp - pk_base, u.length);
+          },
+          triggered_at);
 }
 
 vt::Time unpack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
@@ -273,25 +273,15 @@ vt::Time unpack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
                            std::int64_t pk_base, const void* src,
                            const CudaDevDist* device_units, int blocks,
                            const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src, dst_base, blocks);
-  for (const auto& u : units) t.add(u.pk_disp - pk_base, u.nc_disp, u.length);
-  t.add_descriptor_reads(static_cast<std::int64_t>(units.size()));
-  auto* db = static_cast<std::byte*>(dst_base);
-  const auto* sb = static_cast<const std::byte*>(src);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for (const auto& u : units)
-      rb.add(sb + (u.pk_disp - pk_base), db + u.nc_disp, u.length);
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for (const auto& u : units) {
-          std::memcpy(db + u.nc_disp, sb + (u.pk_disp - pk_base),
-                      static_cast<std::size_t>(u.length));
-        }
-      },
-      "unpack_dev", rb.finish(device_units, units.size()), triggered_at);
+  return Kernel(ctx, stream, src, dst_base, blocks, device_units,
+                units.size())
+      .launch(
+          "unpack_dev",
+          [&](const auto& piece) {
+            for (const auto& u : units)
+              piece(u.pk_disp - pk_base, u.nc_disp, u.length);
+          },
+          triggered_at);
 }
 
 }  // namespace gpuddt::core

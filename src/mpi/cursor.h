@@ -56,7 +56,19 @@ class BlockCursor {
   /// stride = len). pieces_produced() advances by k, exactly as k calls
   /// of next() would. Returns false when the traversal is complete.
   template <class Fn>
-  bool take(std::int64_t max_bytes, Fn&& fn);
+  bool take(std::int64_t max_bytes, Fn&& fn) {
+    return take_run(max_bytes, max_bytes, INT64_MAX, fn);
+  }
+
+  /// take() bounded per piece instead of per run: each piece is at most
+  /// `max_piece` bytes and the run holds at most `max_pieces` (>= 1) of
+  /// them. A block at most `max_piece` long, entered at its start, is
+  /// taken whole with the rest of its run; anything else is the one piece
+  /// next(max_piece) yields. pieces_produced() advances as for take().
+  template <class Fn>
+  bool take_pieces(std::int64_t max_piece, std::int64_t max_pieces, Fn&& fn) {
+    return take_run(max_piece, INT64_MAX, max_pieces, fn);
+  }
 
   bool done() const { return remaining_ == 0; }
   std::int64_t bytes_remaining() const { return remaining_; }
@@ -83,6 +95,13 @@ class BlockCursor {
   /// (1 <= k <= left): arithmetically inside the run, through
   /// advance_instr() past its end.
   void pass_blocks(std::int64_t k, std::int64_t left);
+  /// Shared body of take() and take_pieces(): from the start of a block
+  /// of len <= max_piece, k = min(iterations left, max_bytes / len,
+  /// max_pieces) blocks of the run (INT64_MAX means no byte budget);
+  /// otherwise one next(max_piece) piece.
+  template <class Fn>
+  bool take_run(std::int64_t max_piece, std::int64_t max_bytes,
+                std::int64_t max_pieces, Fn& fn);
 
   DatatypePtr dt_;
   const std::vector<Instr>* prog_ = nullptr;  // selected by ProgramView
@@ -130,18 +149,26 @@ inline void BlockCursor::pass_blocks(std::int64_t k, std::int64_t left) {
       f.base = f.origin + f.iter * (*prog_)[f.loop_instr].step;
     }
   }
-  if (k == left) advance_instr();
+  if (k < left) return;
+  // Most programs step straight onto the next block; only loop and
+  // element boundaries need advance_instr().
+  const auto next = static_cast<std::size_t>(ip_) + 1;
+  if (next < prog_->size() && (*prog_)[next].op == Instr::Op::kBlock)
+    ip_ = static_cast<std::int32_t>(next);
+  else
+    advance_instr();
 }
 
 template <class Fn>
-bool BlockCursor::take(std::int64_t max_bytes, Fn&& fn) {
-  if (remaining_ == 0 || max_bytes <= 0) return false;
-  if (in_block_ == 0) {
-    const Instr& blk = (*prog_)[ip_];
+bool BlockCursor::take_run(std::int64_t max_piece, std::int64_t max_bytes,
+                           std::int64_t max_pieces, Fn& fn) {
+  if (remaining_ == 0 || max_piece <= 0) return false;
+  const Instr& blk = (*prog_)[ip_];
+  if (in_block_ == 0 && blk.len > 0 && blk.len <= max_piece) {
     std::int64_t stride = 0;
     const std::int64_t left = run_length(&stride);
-    const std::int64_t k =
-        blk.len > 0 ? std::min(left, max_bytes / blk.len) : 0;
+    std::int64_t k = std::min(left, max_pieces);
+    if (max_bytes != INT64_MAX) k = std::min(k, max_bytes / blk.len);
     if (k > 0) {
       const std::int64_t base =
           stack_.empty() ? elem_base_ : stack_.back().base;
@@ -153,7 +180,7 @@ bool BlockCursor::take(std::int64_t max_bytes, Fn&& fn) {
     }
   }
   Block b;
-  if (!next(max_bytes, &b)) return false;
+  if (!next(max_piece, &b)) return false;
   fn(b.offset, b.len, b.len, std::int64_t{1});
   return true;
 }

@@ -135,11 +135,15 @@ struct CostModel {
   }
 
   /// Number of `mem_txn_bytes`-sized lines touched by [offset, offset+len).
+  /// Lines are numbered by floor division, so a negative offset counts
+  /// the lines it really straddles.
   std::int64_t txn_lines(std::int64_t offset, std::int64_t len) const {
     if (len <= 0) return 0;
-    const std::int64_t first = offset / mem_txn_bytes;
-    const std::int64_t last = (offset + len - 1) / mem_txn_bytes;
-    return last - first + 1;
+    const auto line = [&](std::int64_t b) {
+      const std::int64_t q = b / mem_txn_bytes;
+      return q * mem_txn_bytes > b ? q - 1 : q;
+    };
+    return line(offset + len - 1) - line(offset) + 1;
   }
 };
 

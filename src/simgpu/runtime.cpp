@@ -411,7 +411,7 @@ vt::Time KernelDuration(const CostModel& cm, const KernelProfile& profile,
 vt::Time LaunchKernel(HostContext& ctx, Stream& stream,
                       const KernelProfile& profile,
                       const std::function<void()>& body, const char* label,
-                      std::span<const MemRange> ranges,
+                      const std::vector<MemRange>& ranges,
                       const vt::Time* triggered_at) {
   body();
   const CostModel& cm = ctx.cost();

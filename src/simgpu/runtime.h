@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "simgpu/access.h"
 #include "simgpu/machine.h"
@@ -143,6 +144,9 @@ struct KernelProfile {
 /// for zero-copy traffic). Returns the virtual finish time. `label` and
 /// `ranges` describe the kernel's memory footprint to the access checker
 /// (kernel wrappers populate them only when an observer is attached).
+/// `body` runs first, before `profile` and `ranges` are read: the core
+/// kernels (core/kernels.cpp) rely on this and fill both from the same
+/// single walk of their pieces that moves the bytes.
 /// `triggered_at`, when non-null, marks a *pre-enqueued* (stream-triggered)
 /// launch: the host already paid the enqueue cost when the chain was
 /// submitted, so the calling clock is neither read nor advanced - the
@@ -153,7 +157,7 @@ vt::Time LaunchKernel(HostContext& ctx, Stream& stream,
                       const KernelProfile& profile,
                       const std::function<void()>& body,
                       const char* label = "kernel",
-                      std::span<const MemRange> ranges = {},
+                      const std::vector<MemRange>& ranges = {},
                       const vt::Time* triggered_at = nullptr);
 
 /// Duration such a kernel occupies the SMs, excluding queueing (exposed

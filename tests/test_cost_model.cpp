@@ -19,6 +19,23 @@ TEST(CostModel, TransactionLineCounting) {
   EXPECT_EQ(cm.txn_lines(128, 1024), 8); // aligned 1KB: 8 lines
 }
 
+TEST(CostModel, TransactionLinesFloorNegativeOffsets) {
+  // Lines are numbered by floor division: [-10, 10) straddles the line
+  // boundary at 0, while [-256, -250) lies inside line -2.
+  CostModel cm;
+  EXPECT_EQ(cm.txn_lines(-10, 20), 2);
+  EXPECT_EQ(cm.txn_lines(-256, 6), 1);
+  EXPECT_EQ(cm.txn_lines(-1, 1), 1);
+  EXPECT_EQ(cm.txn_lines(-1, 2), 2);
+  EXPECT_EQ(cm.txn_lines(-129, 2), 2);
+  EXPECT_EQ(cm.txn_lines(-128, 128), 1);
+  EXPECT_EQ(cm.txn_lines(-300, 1024), 9);
+  cm.mem_txn_bytes = 96;
+  EXPECT_EQ(cm.txn_lines(-10, 20), 2);
+  EXPECT_EQ(cm.txn_lines(-96, 96), 1);
+  EXPECT_EQ(cm.txn_lines(-97, 2), 2);
+}
+
 TEST(CostModel, D2DCopyCountsBothDirections) {
   CostModel cm;
   // duration = 2*bytes / gpu_mem_gbps

@@ -11,7 +11,7 @@
 # (traffic-mix and pipeline-ablation baseline gates + gpuddt-latency-v1
 # shape validation + double-run determinism of both traffic-mix reports;
 # docs/latency.md), the wall-clock benchmark's own self-test
-# (perfbench/selftest.py on the mix workload), and the
+# (perfbench/selftest.py on the mix and steady workloads), and the
 # blocking lint stage (clang-tidy with warnings-as-errors + the
 # determinism lint + the doc lint). Mirrors the CMakePresets.json
 # configurations.
@@ -165,11 +165,12 @@ run build/tools/metrics_diff --gate \
   build/ci_ablation_pipeline_st_latency.json
 
 # 9. Wall-clock benchmark self-test (perfbench/NOTES.md): on short `mix`
-#    runs, a flipped delivered byte must fail the run, two runs of one
-#    seed must give bit-identical virtual-clock metrics, and the traced
-#    span dump must add up to wall_s. Builds perfbench into
+#    and `steady` runs, a flipped delivered byte must fail the run, two
+#    runs of one seed must give bit-identical virtual-clock metrics, and
+#    the traced span dump must add up to wall_s. `steady` drives the
+#    vector kernels at 4-16 MiB. Builds perfbench into
 #    $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench).
-run python3 perfbench/selftest.py --workloads mix
+run python3 perfbench/selftest.py --workloads mix,steady
 
 # 10. Lint: blocking. clang-tidy findings are errors
 #    (--warnings-as-errors=*) and a missing clang-tidy fails the stage
